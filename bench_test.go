@@ -36,7 +36,8 @@ func benchExperiment(b *testing.B, id string, scale float64) {
 	benchExperimentJobs(b, id, scale, 1)
 }
 
-// benchExperimentParallel runs the experiment with one worker per CPU.
+// benchExperimentParallel runs the experiment at the default worker count
+// (parallel.DefaultJobs, one per GOMAXPROCS).
 func benchExperimentParallel(b *testing.B, id string, scale float64) {
 	benchExperimentJobs(b, id, scale, parallel.DefaultJobs())
 }
@@ -82,7 +83,7 @@ func BenchmarkFigure12b(b *testing.B) { benchExperiment(b, "fig12b", 0.1) }
 func BenchmarkFigure13(b *testing.B)  { benchExperiment(b, "fig13", 0.1) }
 func BenchmarkTable2(b *testing.B)    { benchExperiment(b, "table2", 1) }
 
-// Parallel variants: the same experiments with one worker per CPU. The
+// Parallel variants: the same experiments at the default worker count. The
 // serial/parallel ratio is the trial fan-out speedup on this machine;
 // results are byte-identical by the parallel package's determinism
 // contract (asserted by TestParallelDeterminism).
@@ -272,11 +273,13 @@ func BenchmarkWLANFleet(b *testing.B) {
 // BenchmarkWLANFleet workload routed through CSMA/CA contention and OBSS
 // accounting (ns/op is cost per fleet-sim-second; the fleet and duration
 // match BenchmarkWLANFleet so the two are directly comparable — the gap
-// between them is what medium arbitration costs). Jobs is irrelevant (the
-// contended loop is serial) and the seed is fixed so allocs/op stays
-// exact across runs (see benchLinkSecond).
+// between them is what medium arbitration costs). Jobs is pinned to 1, as
+// in BenchmarkWLANFleet, so the number measures per-client serial cost
+// rather than step overlap and allocs/op does not depend on the host's
+// processor count; the seed is fixed so allocs/op stays exact across runs
+// (see benchLinkSecond).
 func BenchmarkContendedFleet(b *testing.B) {
-	opt := sim.FleetOptions{Clients: 4, Duration: 1, MotionAware: true, Contend: true}
+	opt := sim.FleetOptions{Clients: 4, Duration: 1, MotionAware: true, Contend: true, Jobs: 1}
 	_ = sim.RunWLANFleet(opt, 42) // warm lazy state outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()

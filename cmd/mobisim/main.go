@@ -89,7 +89,7 @@ func cmdFleet(args []string) {
 	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
 	clients := fs.Int("clients", 16, "number of independent clients")
 	scenFile := fs.String("scenario", "", "declarative scenario file (JSON, see docs/SCENARIOS.md); overrides -clients, -duration, and -motion-aware")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = one per CPU)")
+	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS)")
 	duration := fs.Float64("duration", 10, "seconds per client")
 	seed := fs.Uint64("seed", 1, "RNG seed")
 	aware := fs.Bool("motion-aware", true, "use the mobility-aware stack")

@@ -29,7 +29,7 @@ func contPlan(aps ...geom.Point) roaming.Plan {
 func runContention(cfg Config, id, title string, opt sim.FleetOptions) Result {
 	opt.Obs = cfg.Obs
 	opt.TrialBase = trialsContend
-	opt.Jobs = cfg.jobs() // ignored by the serial contended loop; recorded for clarity
+	opt.Jobs = cfg.jobs() // steps clients in parallel; output is identical at any value
 	res := sim.RunWLANFleet(opt, cfg.Seed)
 
 	rows := make([][2]string, 0, opt.Clients+len(opt.Plan.APs)+4)

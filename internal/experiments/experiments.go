@@ -24,10 +24,10 @@ type Config struct {
 	// the published defaults, smaller values give quick smoke runs.
 	Scale float64
 	// Jobs bounds the worker pool used for trial fan-out; 0 (the zero
-	// value) selects one worker per CPU. Results are byte-identical for
-	// every value of Jobs: all per-trial randomness is derived by
-	// splitting the root RNG at the trial index, never by sharing a
-	// sequentially-advanced stream across trials.
+	// value) selects parallel.DefaultJobs(), one worker per GOMAXPROCS.
+	// Results are byte-identical for every value of Jobs: all per-trial
+	// randomness is derived by splitting the root RNG at the trial index,
+	// never by sharing a sequentially-advanced stream across trials.
 	Jobs int
 	// Obs, when non-nil, collects telemetry from the instrumented
 	// experiments (classifier metrics, MAC counters, trial traces).

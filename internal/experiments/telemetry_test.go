@@ -34,8 +34,9 @@ func dumpTelemetry(t *testing.T, scope *obs.Scope) (text, jsonDump, trace string
 func TestTelemetryJobsDeterminism(t *testing.T) {
 	// table1 exercises the instrumented classification pipeline (mode
 	// transitions, similarity and latency histograms, per-trial traces);
-	// fig7b adds the roaming runner's handoff/scan telemetry.
-	ids := []string{"table1", "fig7b"}
+	// fig7b adds the roaming runner's handoff/scan telemetry; obss2ap
+	// steps two contended clients in parallel, one per contention domain.
+	ids := []string{"table1", "fig7b", "obss2ap"}
 	if testing.Short() {
 		ids = ids[:1]
 	}

@@ -112,11 +112,15 @@ func (e *Engine) respond(i int) {
 				e.errors.Add(1)
 				continue
 			}
+			// Count the answer before sending it: the answer can complete
+			// its round, and the directive that follows can end Stream,
+			// before a count taken after the send has landed.
+			e.answered.Add(1)
 			if err := conn.ReportMeasurement(MeasureAnswer(conn.ID, req)); err != nil {
+				e.answered.Add(^uint64(0)) // not sent after all
 				e.errors.Add(1)
 				continue
 			}
-			e.answered.Add(1)
 		case ctlproto.TypeRoamDirective:
 			d, err := ctlproto.DecodePayload[ctlproto.RoamDirective](env)
 			if err != nil {

@@ -6,8 +6,8 @@
 // from its trial index (e.g. stats.NewRNG(seed).Split(trialIndex)) and must
 // not mutate state shared with other trials. Under that contract the results
 // of RunTrials are byte-identical regardless of the worker count or the
-// scheduling order, so jobs=1 and jobs=NumCPU regenerate the same tables
-// and figures.
+// scheduling order, so jobs=1 and jobs=DefaultJobs() regenerate the same
+// tables and figures.
 package parallel
 
 import (
@@ -16,8 +16,12 @@ import (
 	"sync/atomic"
 )
 
-// DefaultJobs returns the default worker count: one per available CPU.
-func DefaultJobs() int { return runtime.NumCPU() }
+// DefaultJobs returns the default worker count: runtime.GOMAXPROCS(0),
+// the number of goroutines that can run Go code at once. A process whose
+// GOMAXPROCS is set below the CPU count therefore gets no more workers
+// than it can run, and never pays handoffs to workers that must wait for
+// a processor.
+func DefaultJobs() int { return runtime.GOMAXPROCS(0) }
 
 // RunTrials runs fn(0), fn(1), ..., fn(n-1) on up to jobs concurrent
 // workers and returns the n results in index order. jobs <= 0 selects

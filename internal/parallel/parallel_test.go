@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,13 +42,35 @@ func TestRunTrialsEmptyAndDefaults(t *testing.T) {
 	if got := RunTrials(-3, 4, func(int) int { return 1 }); got != nil {
 		t.Fatalf("n<0: got %v, want nil", got)
 	}
-	// jobs <= 0 selects the CPU-count default and still works.
+	// jobs <= 0 selects the GOMAXPROCS default and still works.
 	got := RunTrials(5, 0, func(i int) int { return i })
 	if !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("jobs=0: got %v", got)
 	}
 	if DefaultJobs() < 1 {
 		t.Fatalf("DefaultJobs() = %d", DefaultJobs())
+	}
+}
+
+// TestDefaultJobsFollowsGOMAXPROCS pins the default worker count to the
+// processors Go may use, not the CPUs the host has: a lowered GOMAXPROCS
+// must lower the default, and results stay identical either way.
+func TestDefaultJobsFollowsGOMAXPROCS(t *testing.T) {
+	want := RunTrials(16, 1, func(i int) int { return i * 3 })
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	if got := DefaultJobs(); got != 1 {
+		t.Fatalf("GOMAXPROCS 1: DefaultJobs() = %d, want 1", got)
+	}
+	if got := RunTrials(16, 0, func(i int) int { return i * 3 }); !reflect.DeepEqual(got, want) {
+		t.Fatalf("GOMAXPROCS 1: got %v, want %v", got, want)
+	}
+	runtime.GOMAXPROCS(2)
+	if got := DefaultJobs(); got != 2 {
+		t.Fatalf("GOMAXPROCS 2: DefaultJobs() = %d, want 2", got)
+	}
+	if got := RunTrials(16, 0, func(i int) int { return i * 3 }); !reflect.DeepEqual(got, want) {
+		t.Fatalf("GOMAXPROCS 2: got %v, want %v", got, want)
 	}
 }
 

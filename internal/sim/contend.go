@@ -3,9 +3,11 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"mobiwlan/internal/medium"
 	"mobiwlan/internal/mobility"
+	"mobiwlan/internal/parallel"
 	"mobiwlan/internal/roaming"
 	"mobiwlan/internal/stats"
 )
@@ -129,11 +131,10 @@ func contendClientSetup(plan roaming.Plan, opt FleetOptions, seed uint64, trialB
 }
 
 // runWLANFleetContended drives every client through one shared medium.
-// The event loop is strictly serial — each Reserve/transmit/advance step
-// depends on the medium state left by the previous one — so the run is
-// byte-identical at any Jobs value by construction; Jobs is ignored here.
 // Per-client randomness still derives from Split(seed, client index)
-// alone, and a fleet of one client on an idle medium reproduces the
+// alone, and the event loop issues every Reserve in the same order at any
+// Jobs value (runContendedSetups), so the run is byte-identical at any
+// worker count. A fleet of one client on an idle medium reproduces the
 // uncontended RunWLAN bit for bit (the immediate-grant path adds no time
 // and draws nothing).
 func runWLANFleetContended(opt FleetOptions, seed uint64) FleetResult {
@@ -154,8 +155,23 @@ func runWLANFleetContended(opt FleetOptions, seed uint64) FleetResult {
 	return runContendedSetups(opt, plan, channels, setups)
 }
 
-// runContendedSetups runs prebuilt contended clients through the serial
-// shared-medium event loop and aggregates the fleet result.
+// inFlight is the BSS key of a placeholder event: the heap slot of a
+// granted client whose step is still running. It sorts ahead of every
+// real event at the same instant, since real BSS ids are >= 0.
+const inFlight = -1
+
+// runContendedSetups runs prebuilt contended clients through the shared-
+// medium event loop and aggregates the fleet result.
+//
+// One goroutine, the caller's, owns the medium and the event heap and
+// makes every Reserve call. A granted client's step — transmit the frame,
+// then advance to the next one — runs on up to opt.Jobs goroutines (0
+// means parallel.DefaultJobs(), capped at the client count): the caller
+// plus Jobs-1 workers. While the step runs, the client's heap slot holds
+// a placeholder at the frame's end, the earliest its next event can come,
+// so no event at or after that bound is popped before the step is done
+// and the Reserve sequence is the serial one (DESIGN.md §10). Jobs 1 runs
+// every step inline, with no goroutines.
 func runContendedSetups(opt FleetOptions, plan roaming.Plan, channels []int, setups []contendSetup) FleetResult {
 	n := len(setups)
 	res := FleetResult{}
@@ -185,6 +201,10 @@ func runContendedSetups(opt FleetOptions, plan roaming.Plan, channels []int, set
 	clients := make([]*wlanClient, n)
 	modes := make([]mobility.Mode, n)
 	h := medium.NewEventHeap(n)
+	requeue := func(i int) {
+		c := clients[i]
+		h.Push(medium.Event{T: c.t, BSS: c.curBSS(), Client: i})
+	}
 	for i := 0; i < n; i++ {
 		s := setups[i]
 		modes[i] = s.mode
@@ -192,26 +212,51 @@ func runContendedSetups(opt FleetOptions, plan roaming.Plan, channels []int, set
 		med.AddStation(c.medRNG)
 		clients[i] = c
 		if !c.advance() {
-			h.Push(medium.Event{T: c.t, BSS: c.curBSS(), Client: i})
+			requeue(i)
 		}
 	}
 
+	jobs := opt.Jobs
+	if jobs <= 0 {
+		jobs = parallel.DefaultJobs()
+	}
+	if jobs > n {
+		jobs = n
+	}
+	sp := startSteppers(jobs-1, n)
+	defer sp.stop()
+
 	// The shared-medium event loop: pop the earliest ready client (ties
 	// broken by BSS then client index), ask the medium for its pending
-	// frame's airtime, and either transmit at the granted start or requeue
-	// at the medium's retry time.
+	// frame's airtime, and either step it at the granted start or requeue
+	// it at the medium's retry time. Popping a placeholder collects its
+	// client's step and queues the client's real next event.
 	for h.Len() > 0 {
 		ev := h.Pop()
 		c := clients[ev.Client]
+		if ev.BSS == inFlight {
+			if !sp.collect(ev.Client) {
+				requeue(ev.Client)
+			}
+			continue
+		}
 		g := med.Reserve(ev.Client, c.curBSS(), ev.T, c.pendDur, c.pos(ev.T))
 		if !g.Granted {
 			h.Push(medium.Event{T: g.RetryAt, BSS: c.curBSS(), Client: ev.Client})
 			continue
 		}
-		c.transmit(g.Start, g.Collided, g.InterfDBm, g.OverlapFrac)
-		if !c.advance() {
-			h.Push(medium.Event{T: c.t, BSS: c.curBSS(), Client: ev.Client})
+		r := stepReq{client: ev.Client, c: c, g: g}
+		if sp == nil {
+			if !r.run() {
+				requeue(ev.Client)
+			}
+			continue
 		}
+		// transmit leaves c.t at g.Start + the frame airtime, which is
+		// pendDur, and advance only moves it forward. Read pendDur before
+		// the handoff: from here until collect the client is the step's.
+		h.Push(medium.Event{T: g.Start + c.pendDur, BSS: inFlight, Client: ev.Client})
+		sp.reqs <- r
 	}
 
 	cs := &ContendStats{PerClient: make([]MPDUCounts, n)}
@@ -235,6 +280,115 @@ func runContendedSetups(opt FleetOptions, plan roaming.Plan, channels []int, set
 
 	res.finish()
 	return res
+}
+
+// stepReq is one granted client's step. It carries the client itself, so
+// the goroutine that receives the request owns the client — its channel
+// models, MAC links, tracer and medium RNG — until it reports back.
+type stepReq struct {
+	client int
+	c      *wlanClient
+	g      medium.Grant
+}
+
+// run transmits the granted frame, advances the client to its next frame
+// and reports whether the client's scenario ended instead.
+func (r stepReq) run() bool {
+	r.c.transmit(r.g.Start, r.g.Collided, r.g.InterfDBm, r.g.OverlapFrac)
+	return r.c.advance()
+}
+
+// stepOut is a finished step: run's result, or the value it panicked with.
+type stepOut struct {
+	ended    bool
+	panicVal any
+}
+
+// steppers is the worker side of the contended event loop. The request
+// queue and each client's result slot are sized so no send ever blocks:
+// a client has at most one step outstanding, so at most n are queued.
+// Each send orders the sender's writes to the client before the
+// receiver's first read of it.
+type steppers struct {
+	reqs chan stepReq
+	done []chan stepOut
+	wg   sync.WaitGroup
+}
+
+// startSteppers starts workers goroutines for a fleet of n clients; it
+// returns nil, the inline mode, when workers is 0.
+func startSteppers(workers, n int) *steppers {
+	if workers <= 0 {
+		return nil
+	}
+	s := &steppers{reqs: make(chan stepReq, n), done: make([]chan stepOut, n)}
+	for i := range s.done {
+		s.done[i] = make(chan stepOut, 1)
+	}
+	s.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go s.work()
+	}
+	return s
+}
+
+// work runs queued steps until the queue closes. A panicking step is
+// caught and handed to the coordinator, which re-panics when it collects
+// that client.
+func (s *steppers) work() {
+	defer s.wg.Done()
+	for r := range s.reqs {
+		s.done[r.client] <- r.runCaught()
+	}
+}
+
+// runCaught runs the step and captures a panic instead of unwinding.
+func (r stepReq) runCaught() (out stepOut) {
+	defer func() { out.panicVal = recover() }()
+	out.ended = r.run()
+	return out
+}
+
+// collect waits for client i's step and reports whether the client's
+// scenario ended. Rather than block while the step is pending, it runs
+// queued steps itself, but it checks for i's result first so it never
+// starts another step once that result is in: the event loop, not the
+// workers, is the critical path. A step that panicked on a worker
+// re-panics here, on the caller's goroutine.
+func (s *steppers) collect(i int) bool {
+	for {
+		select {
+		case out := <-s.done[i]:
+			return out.result()
+		default:
+		}
+		select {
+		case out := <-s.done[i]:
+			return out.result()
+		case r := <-s.reqs:
+			s.done[r.client] <- stepOut{ended: r.run()}
+		}
+	}
+}
+
+// result returns whether the client's scenario ended, re-raising the
+// step's panic if it had one.
+func (o stepOut) result() bool {
+	if o.panicVal != nil {
+		panic(o.panicVal)
+	}
+	return o.ended
+}
+
+// stop closes the queue and waits for the workers to exit; they finish
+// any queued step first. It runs on every return path of the event loop,
+// including a panic, so no worker outlives runContendedSetups.
+func (s *steppers) stop() {
+	if s == nil {
+		return
+	}
+	close(s.reqs)
+	s.wg.Wait()
 }
 
 // publishContendStats exposes the shared-medium accounting through the

@@ -3,11 +3,15 @@ package sim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"mobiwlan/internal/geom"
+	"mobiwlan/internal/obs"
 	"mobiwlan/internal/roaming"
 	"mobiwlan/internal/stats"
+	"mobiwlan/internal/transport"
 )
 
 // checkContendConservation asserts the shared-medium conservation laws on
@@ -183,6 +187,109 @@ func TestContendedFleetDeterminism(t *testing.T) {
 		}
 		if t.Failed() {
 			t.Fatalf("config %d (%+v seed %d) failed conservation", ci, opt, seed)
+		}
+	}
+}
+
+// TestContendedFleetParallelDense drives a dense cell through the
+// parallel event loop — 48 clients on 12 APs over 3 channels, each
+// simulating its 3 nearest APs, with telemetry attached — and requires
+// the fleet result, the text and JSON metric dumps and the merged trace
+// to be byte-identical at Jobs 1, 2 and 8. Several contention domains
+// keep several client steps in flight at once, so under -race this is
+// the check that a stepped client is touched by one goroutine at a time.
+func TestContendedFleetParallelDense(t *testing.T) {
+	run := func(jobs int) (res FleetResult, text, jsonDump, trace string) {
+		scope := obs.NewScope(256)
+		opt := FleetOptions{
+			Clients:     48,
+			Jobs:        jobs,
+			MotionAware: true,
+			Duration:    1,
+			Obs:         scope,
+			Contend:     true,
+			APs:         12,
+			NumChannels: 3,
+			MaxAPs:      3,
+		}
+		res = RunWLANFleet(opt, 12)
+		var tb, jb, rb strings.Builder
+		if err := scope.Reg.WriteText(&tb); err != nil {
+			t.Fatal(err)
+		}
+		if err := scope.Reg.WriteJSON(&jb); err != nil {
+			t.Fatal(err)
+		}
+		if err := scope.Trials.WriteJSONL(&rb); err != nil {
+			t.Fatal(err)
+		}
+		return res, tb.String(), jb.String(), rb.String()
+	}
+	ref, text, jsonDump, trace := run(1)
+	checkContendConservation(t, ref, 1)
+	if len(ref.Contend.Domains) < 2 {
+		t.Fatalf("dense cell has %d contention domain(s); want several so steps overlap", len(ref.Contend.Domains))
+	}
+	if !strings.Contains(text, "counter medium.mpdu.offered") || trace == "" {
+		t.Fatalf("telemetry missing: %d-byte trace, text dump:\n%s", len(trace), text)
+	}
+	for _, jobs := range []int{2, 8} {
+		res, text2, json2, trace2 := run(jobs)
+		if !reflect.DeepEqual(ref, res) {
+			t.Errorf("jobs=%d: fleet result diverged from jobs=1", jobs)
+		}
+		if text2 != text {
+			t.Errorf("jobs=%d: text metrics dump differs from jobs=1", jobs)
+		}
+		if json2 != jsonDump {
+			t.Errorf("jobs=%d: JSON metrics dump differs from jobs=1", jobs)
+		}
+		if trace2 != trace {
+			t.Errorf("jobs=%d: merged JSONL trace differs from jobs=1", jobs)
+		}
+	}
+}
+
+// panicSource is a saturated source whose delivery callback panics once
+// sim-time passes at, so the panic fires inside a client step.
+type panicSource struct {
+	transport.Saturated
+	at float64
+}
+
+func (p panicSource) OnDelivery(t float64, _, _ int, _ bool) {
+	if t > p.at {
+		panic("step exploded")
+	}
+}
+
+// TestContendedStepPanicPropagates requires a panicking client step to
+// surface on the caller's goroutine at every Jobs value — whether a
+// worker or the coordinator ran the step — without deadlocking the
+// event loop.
+func TestContendedStepPanicPropagates(t *testing.T) {
+	opt := FleetOptions{Clients: 8, MotionAware: true, Duration: 1, Contend: true, APs: 4, MaxAPs: 2}
+	for _, jobs := range []int{1, 2, 8} {
+		opt.Jobs = jobs
+		plan, channels := contendPlan(opt)
+		setups := make([]contendSetup, opt.Clients)
+		for i := range setups {
+			scen, w, cseed, apIdx, mode := contendClientSetup(plan, opt, 3, fleetTrialBase, i)
+			setups[i] = contendSetup{scen: scen, w: w, seed: cseed, apIdx: apIdx, mode: mode}
+		}
+		setups[5].w.Source = panicSource{at: 0.3}
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			runContendedSetups(opt, plan, channels, setups)
+		}()
+		select {
+		case r := <-done:
+			if r != "step exploded" {
+				t.Fatalf("jobs=%d: recovered %v, want the step's panic", jobs, r)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("jobs=%d: event loop deadlocked after a step panic", jobs)
 		}
 	}
 }

@@ -20,9 +20,9 @@ const fleetTrialBase = 6_000_000
 type FleetOptions struct {
 	// Clients is the number of independent clients to simulate.
 	Clients int
-	// Jobs is the worker count (0 means one per CPU). Results are
-	// byte-identical for any value — per-client state derives only from
-	// the fleet seed and the client index.
+	// Jobs is the worker count (0 means parallel.DefaultJobs(), one per
+	// GOMAXPROCS). Results are byte-identical for any value — per-client
+	// state derives only from the fleet seed and the client index.
 	Jobs int
 	// MotionAware selects the protocol stack for every client, as in
 	// WLANOptions.
@@ -39,9 +39,10 @@ type FleetOptions struct {
 
 	// Contend routes every frame through one shared medium (CSMA/CA
 	// deferral/backoff/collisions plus co-channel OBSS interference)
-	// instead of giving each client the spectrum to itself. The contended
-	// event loop is serial; Jobs is ignored and output stays
-	// byte-identical at any value.
+	// instead of giving each client the spectrum to itself. One goroutine
+	// arbitrates the medium in a fixed event order while up to Jobs
+	// goroutines run the granted clients' steps, so output stays
+	// byte-identical at any Jobs value.
 	Contend bool
 	// Plan overrides the AP deployment for contended runs. Empty means a
 	// grid of APs AP positions from roaming.GridPlan.

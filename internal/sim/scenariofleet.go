@@ -12,10 +12,11 @@ import (
 // The spec's duration is authoritative: opt.Duration is ignored.
 //
 // Determinism matches the fleet contract: scenario.Build derives every
-// client's randomness from Split(seed, client index) alone and the
-// uncontended path shards with parallel.RunTrials, so results are
-// byte-identical at any Jobs value; the contended path is a serial event
-// loop and ignores Jobs outright.
+// client's randomness from Split(seed, client index) alone, the
+// uncontended path shards with parallel.RunTrials, and the contended path
+// steps clients on up to Jobs goroutines while issuing every medium
+// reservation in the serial order, so results are byte-identical at any
+// Jobs value.
 func RunScenarioFleet(spec *scenario.Spec, opt FleetOptions, seed uint64) (FleetResult, error) {
 	opt.Clients = spec.Total
 	trialBase := opt.TrialBase
@@ -57,7 +58,7 @@ func RunScenarioFleet(spec *scenario.Spec, opt FleetOptions, seed uint64) (Fleet
 // runScenarioFleetContended drives the spec's clients through one shared
 // medium. Build homes each client to its effective AP (pinned by home_ap
 // or assigned round-robin) and translates its scene accordingly; the event
-// loop is the same serial loop the round-robin contended fleet uses.
+// loop is the one the round-robin contended fleet uses.
 func runScenarioFleetContended(spec *scenario.Spec, opt FleetOptions, trialBase int, seed uint64) (FleetResult, error) {
 	plan, channels := contendPlan(opt)
 	clients, err := scenario.Build(spec, plan.APs, seed)

@@ -24,7 +24,7 @@ import (
 type SharedFleetOptions struct {
 	// Clients is the fleet size.
 	Clients int
-	// Jobs is the worker count (0 means one per CPU). The stepper shards
+	// Jobs is the worker count (0 means parallel.DefaultJobs()). The stepper shards
 	// clients over persistent workers; results are byte-identical for any
 	// value — per-client state derives only from the fleet seed and the
 	// client index, and the shared geometry is primed serially between

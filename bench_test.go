@@ -319,30 +319,6 @@ func BenchmarkScenarioFleet(b *testing.B) {
 	}
 }
 
-// benchSharedFleet runs the shared-scene measurement sweep — one scatterer
-// population, lockstep CSI ticks — with geometry sharing on or off.
-// Results are bit-identical either way (TestSharedFleetSharedMatchesUnshared);
-// the gap between the two is what per-tick geometry priming saves across
-// the fleet, which grows with scatterer count and shrinks as the coherence
-// cache absorbs geometry cost (at the default scene the two are close).
-// Jobs is pinned to 1 so the number measures per-client cost, not
-// scheduler fan-out.
-func benchSharedFleet(b *testing.B, disableShared bool) {
-	opt := sim.SharedFleetOptions{Clients: 16, Jobs: 1, Duration: 5, DisableShared: disableShared}
-	_ = sim.RunSharedFleet(opt, 42) // warm lazy state outside the timer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := sim.RunSharedFleet(opt, 42)
-		if len(res.PerClient) != opt.Clients {
-			b.Fatal("bad shared fleet size")
-		}
-	}
-}
-
-func BenchmarkSharedFleet(b *testing.B)         { benchSharedFleet(b, false) }
-func BenchmarkSharedFleetUnshared(b *testing.B) { benchSharedFleet(b, true) }
-
 func BenchmarkRoamingRunSecond(b *testing.B) {
 	cfg := mobility.DefaultSceneConfig()
 	cfg.Duration = 1

@@ -58,7 +58,7 @@ import (
 // and link pipelines that consume them. Full figure regeneration benches
 // (BenchmarkFigure*) are excluded by default because their runtime would
 // dominate CI; pass -bench '.' to snapshot everything.
-const defaultBench = "^(BenchmarkChannelResponse|BenchmarkChannelMeasure|BenchmarkCSISimilarity|BenchmarkEffectiveSNR|BenchmarkClassifierPipeline|BenchmarkLinkSimSecond|BenchmarkStaticLinkSecond|BenchmarkStaticLinkSecondUncached|BenchmarkEnvLinkSecond|BenchmarkEnvLinkSecondUncached|BenchmarkWLANFleet|BenchmarkContendedFleet|BenchmarkScenarioFleet|BenchmarkSharedFleet|BenchmarkSharedFleetUnshared|BenchmarkZFPrecoder|BenchmarkCtlBatchEncode|BenchmarkCtlDeltaDecode|BenchmarkCtlCoordinatorReport|BenchmarkCtlLoadSchedule)$"
+const defaultBench = "^(BenchmarkChannelResponse|BenchmarkChannelMeasure|BenchmarkCSISimilarity|BenchmarkEffectiveSNR|BenchmarkClassifierPipeline|BenchmarkLinkSimSecond|BenchmarkStaticLinkSecond|BenchmarkStaticLinkSecondUncached|BenchmarkEnvLinkSecond|BenchmarkEnvLinkSecondUncached|BenchmarkWLANFleet|BenchmarkContendedFleet|BenchmarkScenarioFleet|BenchmarkZFPrecoder|BenchmarkCtlBatchEncode|BenchmarkCtlDeltaDecode|BenchmarkCtlCoordinatorReport|BenchmarkCtlLoadSchedule)$"
 
 // Snapshot is the normalized on-disk form of one benchmark run.
 type Snapshot struct {

@@ -79,8 +79,9 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: mobisim <classify|link|wlan|fleet|roam|subf|mumimo|sched> [flags]")
 }
 
-// cmdFleet runs the multi-client scale harness: N independent clients
-// with round-robin mobility modes against the shared AP plan. Per-client
+// cmdFleet runs the multi-client scale harness: the clients of a
+// -scenario file, or N independent clients with round-robin mobility
+// modes (scenario.RoundRobin), against the shared AP plan. Per-client
 // lines are printed in client order so runs with different -jobs values
 // can be diffed byte-for-byte.
 //
@@ -103,10 +104,7 @@ func cmdFleet(args []string) {
 	parseArgs(fs, args)
 
 	opt := sim.FleetOptions{
-		Clients:     *clients,
 		Jobs:        *jobs,
-		MotionAware: *aware,
-		Duration:    *duration,
 		Obs:         ofl.Scope(),
 		Contend:     *contend,
 		APs:         *aps,
@@ -115,34 +113,36 @@ func cmdFleet(args []string) {
 		MaxAPs:      *maxAPs,
 	}
 	defer ofl.Finish()
-	var res sim.FleetResult
-	if *scenFile != "" {
-		spec, err := scenario.ParseFile(*scenFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		res, err = sim.RunScenarioFleet(spec, opt, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if !*quiet {
-			for i, c := range res.PerClient {
+	// Without -scenario the fleet is the generated round-robin spec; both
+	// run through the same runner and differ only in how they print.
+	var spec *scenario.Spec
+	var err error
+	if *scenFile == "" {
+		spec = scenario.RoundRobin(*clients, *duration, *aware)
+	} else if spec, err = scenario.ParseFile(*scenFile); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	res, err := sim.RunScenarioFleet(spec, opt, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if !*quiet {
+		for i, c := range res.PerClient {
+			if *scenFile != "" {
 				fmt.Printf("client %3d  %-14s %-13s %6.2f Mbps  %d handoffs  %d scans\n",
 					c.Client, res.Names[i], c.Mode, c.Mbps, c.Handoffs, c.Scans)
-			}
-		}
-		fmt.Printf("fleet: scenario %s, %d clients x %.0f s, total %.1f Mbps, mean %.2f Mbps, %d handoffs, %d scans\n",
-			spec.Name, len(res.PerClient), spec.DurationS, res.TotalMbps, res.MeanMbps, res.Handoffs, res.Scans)
-	} else {
-		res = sim.RunWLANFleet(opt, *seed)
-		if !*quiet {
-			for _, c := range res.PerClient {
+			} else {
 				fmt.Printf("client %3d  %-13s %6.2f Mbps  %d handoffs  %d scans\n",
 					c.Client, c.Mode, c.Mbps, c.Handoffs, c.Scans)
 			}
 		}
+	}
+	if *scenFile != "" {
+		fmt.Printf("fleet: scenario %s, %d clients x %.0f s, total %.1f Mbps, mean %.2f Mbps, %d handoffs, %d scans\n",
+			spec.Name, len(res.PerClient), spec.DurationS, res.TotalMbps, res.MeanMbps, res.Handoffs, res.Scans)
+	} else {
 		fmt.Printf("fleet: %d clients x %.0f s, total %.1f Mbps, mean %.2f Mbps, %d handoffs, %d scans\n",
 			*clients, *duration, res.TotalMbps, res.MeanMbps, res.Handoffs, res.Scans)
 	}

@@ -189,13 +189,6 @@ type Model struct {
 	// expose only scalars derived from it.
 	rssiScratch *csi.Matrix
 
-	// shared is the optional fleet-wide geometry cache (sharedgeom.go);
-	// sharedHot is true while the current ResponseInto call's time
-	// matches the primed instant, so fillLegs reads the memoized AP-side
-	// legs instead of recomputing them. Set per call.
-	shared    *SharedGeometry
-	sharedHot bool
-
 	// cache is the coherence-aware response cache (see DESIGN.md, "Channel
 	// coherence cache"). Like the scratch slices above, it belongs to the
 	// goroutine that owns the Model and must never be shared.
@@ -381,22 +374,11 @@ func (m *Model) ResponseInto(t float64, h *csi.Matrix) *csi.Matrix {
 		panic("channel: ResponseInto buffer has wrong dimensions for this model")
 	}
 
-	// Gather path endpoints once: LoS plus one bounce per scatterer. When
-	// the shared-geometry cache is primed at exactly this instant, the
-	// memoized Traj.At values substitute for recomputing them — identical
-	// bits by pure-function memoization (sharedgeom.go).
-	m.sharedHot = m.shared != nil && m.shared.primed && m.shared.t == t
+	// Gather path endpoints once: LoS plus one bounce per scatterer.
 	m.paths = m.paths[:0]
 	m.paths = append(m.paths, path{gain: m.losGain})
-	if m.sharedHot {
-		vias := m.shared.vias
-		for si, sc := range m.scen.Scatterers {
-			m.paths = append(m.paths, path{gain: sc.Reflectivity, via: vias[si], bounce: true})
-		}
-	} else {
-		for _, sc := range m.scen.Scatterers {
-			m.paths = append(m.paths, path{gain: sc.Reflectivity, via: sc.Traj.At(t), bounce: true})
-		}
+	for _, sc := range m.scen.Scatterers {
+		m.paths = append(m.paths, path{gain: sc.Reflectivity, via: sc.Traj.At(t), bounce: true})
 	}
 
 	if m.cfg.DisableCache {

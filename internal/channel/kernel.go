@@ -84,28 +84,12 @@ var pow075Exact = func() bool {
 // reference performs — pure-function memoization, not a reassociation.
 func (m *Model) fillLegs(client geom.Point, lo int) {
 	nPaths := len(m.paths)
-	if m.sharedHot {
-		// AP-side legs memoized fleet-wide at the primed instant
-		// (sharedgeom.go): path pi is scatterer pi-1 by construction, so
-		// the cached rows index straight in. Same Dist calls, same bits.
-		nScat := nPaths - 1
-		for txi := range m.apAnts {
-			legs := m.legsTx[txi*nPaths : (txi+1)*nPaths]
-			row := m.shared.legsTx[txi*nScat : (txi+1)*nScat]
-			for pi := lo; pi < nPaths; pi++ {
-				if m.paths[pi].bounce {
-					legs[pi] = row[pi-1]
-				}
-			}
-		}
-	} else {
-		for txi, txOff := range m.apAnts {
-			txPos := m.ap.Add(txOff)
-			legs := m.legsTx[txi*nPaths : (txi+1)*nPaths]
-			for pi := lo; pi < nPaths; pi++ {
-				if p := &m.paths[pi]; p.bounce {
-					legs[pi] = txPos.Dist(p.via)
-				}
+	for txi, txOff := range m.apAnts {
+		txPos := m.ap.Add(txOff)
+		legs := m.legsTx[txi*nPaths : (txi+1)*nPaths]
+		for pi := lo; pi < nPaths; pi++ {
+			if p := &m.paths[pi]; p.bounce {
+				legs[pi] = txPos.Dist(p.via)
 			}
 		}
 	}

@@ -38,7 +38,9 @@ const groupLabelBase = uint64(1) << 32
 
 // Build expands a validated spec into per-client simulation inputs against
 // a deployment of len(aps) access points. aps may be nil for uncontended
-// runs: clients then keep the scene in its own frame and HomeAP is -1.
+// runs: clients then keep the scene in its own frame, HomeAP is -1 and
+// any home_ap is ignored. With a deployment, each client's scene is
+// shifted so the scene AP lands on its home AP.
 //
 // Determinism contract (see docs/SCENARIOS.md): parsing never draws
 // randomness; every client derives all of its randomness from
@@ -55,7 +57,7 @@ func Build(spec *Spec, aps []geom.Point, seed uint64) ([]Client, error) {
 	flat := 0
 	for gi := range spec.Groups {
 		g := &spec.Groups[gi]
-		if g.HomeAP >= len(aps) && g.HomeAP >= 0 {
+		if len(aps) > 0 && g.HomeAP >= len(aps) {
 			return nil, fmt.Errorf("scenario %s: clients[%d] (%s): home_ap %d but the deployment has %d APs",
 				spec.Name, gi, g.ID, g.HomeAP, len(aps))
 		}
@@ -112,13 +114,13 @@ func Build(spec *Spec, aps []geom.Point, seed uint64) ([]Client, error) {
 }
 
 // groupHome resolves the effective home AP for index idx (a flat client
-// index, or the group index for model "group").
+// index, or the group index for model "group"); -1 without a deployment.
 func groupHome(g *Group, idx, numAPs int) int {
-	if g.HomeAP >= 0 {
-		return g.HomeAP
-	}
 	if numAPs == 0 {
 		return -1
+	}
+	if g.HomeAP >= 0 {
+		return g.HomeAP
 	}
 	return idx % numAPs
 }
@@ -126,9 +128,8 @@ func groupHome(g *Group, idx, numAPs int) int {
 // sceneConfig derives the scene generator's config for one client: the
 // spec's floor and duration, the group's knobs, and — when homed to a
 // deployment AP — the frame translated so the scene AP lands on the home
-// AP (the same translation the contended fleet applies; it preserves the
-// generator's draw sequence because all geometry is relative to Bounds
-// and AP).
+// AP (the translation preserves the generator's draw sequence because all
+// geometry is relative to Bounds and AP).
 func sceneConfig(spec *Spec, g *Group, home int, aps []geom.Point) mobility.SceneConfig {
 	scfg := mobility.DefaultSceneConfig()
 	scfg.Bounds = spec.Floor
@@ -137,7 +138,7 @@ func sceneConfig(spec *Spec, g *Group, home int, aps []geom.Point) mobility.Scen
 	scfg.WalkSpeed = g.SpeedMPS
 	scfg.MicroRadius = g.MicroRadiusM
 	scfg.EnvIntensity = g.EnvIntensity
-	if home >= 0 && home < len(aps) {
+	if home >= 0 {
 		dx := aps[home].X - scfg.AP.X
 		dy := aps[home].Y - scfg.AP.Y
 		scfg.AP = aps[home]

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 
 	"mobiwlan/internal/geom"
 	"mobiwlan/internal/mobility"
@@ -38,8 +39,9 @@ const (
 	MaxSpeedMPS = 50
 )
 
-// Spec is a parsed, validated scenario file. All defaults are resolved:
-// every Group field holds its effective value.
+// Spec is a scenario: a parsed, validated file, or one generated in code
+// (RoundRobin). All defaults are resolved: every Group field holds its
+// effective value.
 type Spec struct {
 	// Name identifies the scenario (lowercase identifier).
 	Name string
@@ -83,7 +85,8 @@ type Group struct {
 	// StartSpreadS staggers movement onset uniformly over this window.
 	StartSpreadS float64
 	// HomeAP pins the group to one AP of the deployment (-1 = assign
-	// round-robin). Only meaningful for contended fleet runs.
+	// round-robin). Only meaningful for contended fleet runs; Build
+	// ignores it without a deployment.
 	HomeAP int
 	// MotionAware selects the mobility-aware roaming policy per client.
 	MotionAware bool
@@ -277,6 +280,62 @@ type specDefaults struct {
 	microRadiusM float64
 }
 
+// defaultFloor is the floor of a file without "floor": the scene
+// generator's default floor (mobility.DefaultSceneConfig).
+var defaultFloor = geom.Rect{MinX: 0, MinY: 0, MaxX: 50, MaxY: 30}
+
+// baseDefaults is the "defaults" object of a file without one; its
+// values match mobility.DefaultSceneConfig.
+var baseDefaults = specDefaults{
+	speedMPS:     mobility.SpeedPedestrian,
+	motionAware:  true,
+	envIntensity: 1,
+	microRadiusM: 0.5,
+}
+
+// newGroup returns a one-client group with every optional field at its
+// default under def. The caller sets ID, Mode and Model.
+func newGroup(def specDefaults) Group {
+	return Group{
+		Count:        1,
+		SpeedMPS:     def.speedMPS,
+		BlockM:       10,
+		RadiusM:      8,
+		MicroRadiusM: def.microRadiusM,
+		EnvIntensity: def.envIntensity,
+		HomeAP:       -1,
+		MotionAware:  def.motionAware,
+	}
+}
+
+// RoundRobin generates the round-robin fleet as a spec: n one-client
+// groups on the default floor, where client i is in mode
+// mobility.AllModes[i%4] with that mode's default trajectory model, no
+// pinned home AP, and every other knob at its file default. durationS <= 0
+// keeps the scene default (30 s); motionAware selects every client's
+// protocol stack. Group i's ID is the decimal client index.
+//
+// A spec built in code skips the file limits (MaxGroups, MaxClients), so
+// a generated fleet may be larger than any file could declare.
+func RoundRobin(n int, durationS float64, motionAware bool) *Spec {
+	if durationS <= 0 {
+		durationS = mobility.DefaultSceneConfig().Duration
+	}
+	n = max(n, 0)
+	spec := &Spec{Name: "round-robin", DurationS: durationS, Floor: defaultFloor,
+		Groups: make([]Group, n), Total: n}
+	def := baseDefaults
+	def.motionAware = motionAware
+	for i := range spec.Groups {
+		g := newGroup(def)
+		g.ID = strconv.Itoa(i)
+		g.Mode = mobility.AllModes[i%len(mobility.AllModes)]
+		g.Model = defaultModel(g.Mode)
+		spec.Groups[i] = g
+	}
+	return spec
+}
+
 // speedFields resolves the mutually exclusive speed / speed_mps pair on
 // obj; absent pair returns (0, false, nil).
 func (v *validator) speedFields(obj *node, path string) (float64, bool, error) {
@@ -332,7 +391,7 @@ func (v *validator) spec(root *node) (*Spec, error) {
 		return nil, err
 	}
 
-	spec := &Spec{Floor: geom.Rect{MinX: 0, MinY: 0, MaxX: 50, MaxY: 30}}
+	spec := &Spec{Floor: defaultFloor}
 
 	nameNode, err := v.field(root, "", "name", kindString)
 	if err != nil {
@@ -369,12 +428,7 @@ func (v *validator) spec(root *node) (*Spec, error) {
 		return nil, err
 	}
 
-	def := specDefaults{
-		speedMPS:     mobility.SpeedPedestrian,
-		motionAware:  true,
-		envIntensity: 1,
-		microRadiusM: 0.5,
-	}
+	def := baseDefaults
 	if dn, err := v.field(root, "", "defaults", kindObject); err != nil {
 		return nil, err
 	} else if dn != nil {
@@ -467,16 +521,7 @@ func (v *validator) floor(root *node, spec *Spec) error {
 
 // group validates one clients[] entry.
 func (v *validator) group(gn *node, path string, spec *Spec, def specDefaults, seen map[string]bool) (Group, error) {
-	g := Group{
-		Count:        1,
-		SpeedMPS:     def.speedMPS,
-		BlockM:       10,
-		RadiusM:      8,
-		MicroRadiusM: def.microRadiusM,
-		EnvIntensity: def.envIntensity,
-		HomeAP:       -1,
-		MotionAware:  def.motionAware,
-	}
+	g := newGroup(def)
 	if gn.kind != kindObject {
 		return g, v.fail(gn, path, "is %s, want an object", gn.kind)
 	}

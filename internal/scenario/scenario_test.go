@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mobiwlan/internal/geom"
 	"mobiwlan/internal/mobility"
+	"mobiwlan/internal/stats"
 )
 
 // examplesDir is the committed scenario corpus exercised by these tests.
@@ -179,6 +181,100 @@ func TestBuildHomeTranslation(t *testing.T) {
 	}
 	if _, err := Build(spec2, aps, 3); err == nil {
 		t.Fatal("home_ap 7 against 2 APs must fail")
+	}
+}
+
+// TestBuildIgnoresHomeAPWithoutDeployment pins the uncontended case: with
+// no deployment a pinned home_ap is ignored, not checked against zero APs.
+func TestBuildIgnoresHomeAPWithoutDeployment(t *testing.T) {
+	spec, err := Parse("inline", []byte(`{
+		"v": 1, "name": "homes", "duration_s": 10,
+		"clients": [
+			{ "id": "a", "mode": "static", "home_ap": 1 },
+			{ "id": "b", "mode": "macro" }
+		]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients, err := Build(spec, nil, 3)
+	if err != nil {
+		t.Fatalf("Build without a deployment: %v", err)
+	}
+	for _, c := range clients {
+		if c.HomeAP != -1 {
+			t.Errorf("client %s homed to %d without a deployment, want -1", c.Name, c.HomeAP)
+		}
+	}
+}
+
+// TestRoundRobinMatchesParsedDefaults pins the generated round-robin spec
+// to the parser's defaults and to the round-robin fleet's derivation. A
+// default that drifted between the file path and the generated path would
+// silently change every `mobisim fleet -clients N` run.
+func TestRoundRobinMatchesParsedDefaults(t *testing.T) {
+	parsed, err := Parse("rr.json", []byte(`{
+		"v": 1, "name": "rr", "duration_s": 8,
+		"clients": [
+			{ "id": "s", "mode": "static" },
+			{ "id": "e", "mode": "environmental" },
+			{ "id": "mi", "mode": "micro" },
+			{ "id": "ma", "mode": "macro" }
+		]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := RoundRobin(4, 8, true)
+	if rr.Floor != parsed.Floor || rr.DurationS != parsed.DurationS ||
+		rr.Total != parsed.Total || len(rr.Groups) != len(parsed.Groups) {
+		t.Fatalf("generated spec %+v, parsed %+v", rr, parsed)
+	}
+	for i, want := range parsed.Groups {
+		got := rr.Groups[i]
+		got.ID, want.ID = "", ""
+		if got != want {
+			t.Errorf("group %d: generated %+v, parsed %+v", i, got, want)
+		}
+	}
+
+	// Build gives client i the scene and seed of Split(seed, i+1), and the
+	// home AP i % len(APs) when there is a deployment.
+	const seed = 77
+	spec := RoundRobin(6, 2, false)
+	grid := []geom.Point{geom.Pt(8, 7), geom.Pt(25, 7), geom.Pt(8, 23), geom.Pt(25, 23)}
+	for _, aps := range [][]geom.Point{nil, grid} {
+		clients, err := Build(spec, aps, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(clients) != 6 {
+			t.Fatalf("built %d clients, want 6", len(clients))
+		}
+		for i, c := range clients {
+			base := stats.NewRNG(seed).Split(uint64(i) + 1)
+			wantHome := -1
+			if aps != nil {
+				wantHome = i % len(aps)
+			}
+			if c.Mode != mobility.AllModes[i%4] || c.HomeAP != wantHome || c.MotionAware {
+				t.Errorf("aps=%d client %d: mode %v home %d aware %v, want %v, %d, false",
+					len(aps), i, c.Mode, c.HomeAP, c.MotionAware, mobility.AllModes[i%4], wantHome)
+			}
+			if c.SimSeed != base.Split(2).Uint64() {
+				t.Errorf("aps=%d client %d: sim seed is not Split(seed, i+1).Split(2)", len(aps), i)
+			}
+			if aps == nil {
+				scfg := mobility.DefaultSceneConfig()
+				scfg.Duration = 2
+				if want := mobility.NewScenario(c.Mode, scfg, base.Split(1)); !reflect.DeepEqual(c.Scen, want) {
+					t.Errorf("client %d: scene differs from the default scene of Split(seed, i+1).Split(1)", i)
+				}
+			}
+		}
+	}
+	if s := RoundRobin(-3, 0, true); s.Total != 0 || len(s.Groups) != 0 || s.DurationS != 30 {
+		t.Errorf("RoundRobin(-3, 0) = %+v, want an empty 30 s spec", s)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"mobiwlan/internal/mobility"
 	"mobiwlan/internal/parallel"
 	"mobiwlan/internal/roaming"
-	"mobiwlan/internal/stats"
 )
 
 // ContendStats is the shared-medium accounting of a contended fleet run.
@@ -74,17 +73,6 @@ func nearestAPs(plan roaming.Plan, home, k int) []int {
 	return sub
 }
 
-// contendSetup is one prebuilt contended client: everything the shared-
-// medium event loop needs, from whichever source (the round-robin fleet or
-// a scenario spec) derived it.
-type contendSetup struct {
-	scen  *mobility.Scenario
-	w     WLANOptions
-	seed  uint64
-	apIdx []int
-	mode  mobility.Mode
-}
-
 // subPlanFor restricts the deployment to the maxAPs APs nearest home
 // (0 = all), returning the restricted plan and the global AP indices it
 // covers.
@@ -97,71 +85,16 @@ func subPlanFor(plan roaming.Plan, home, maxAPs int) (roaming.Plan, []int) {
 	return sub, apIdx
 }
 
-// contendClientSetup derives contended client i's scenario, WLAN options,
-// simulation seed, and AP subset — exactly the uncontended fleet's
-// per-client derivation (base = Split(seed, i+1), scenario from
-// base.Split(1), seed from base.Split(2)), except that the client homes to
-// AP i % len(APs) and its scene is translated so the scene AP lands on the
-// home AP. Translation preserves the scene generator's draw sequence: the
-// generator only draws geometry relative to Bounds and AP.
-func contendClientSetup(plan roaming.Plan, opt FleetOptions, seed uint64, trialBase, i int) (
-	*mobility.Scenario, WLANOptions, uint64, []int, mobility.Mode) {
-	base := stats.NewRNG(seed).Split(uint64(i) + 1)
-	mode := mobility.AllModes[i%len(mobility.AllModes)]
-	home := i % len(plan.APs)
-	scfg := mobility.DefaultSceneConfig()
-	if opt.Duration > 0 {
-		scfg.Duration = opt.Duration
-	}
-	dx := plan.APs[home].X - scfg.AP.X
-	dy := plan.APs[home].Y - scfg.AP.Y
-	scfg.AP = plan.APs[home]
-	scfg.Bounds.MinX += dx
-	scfg.Bounds.MaxX += dx
-	scfg.Bounds.MinY += dy
-	scfg.Bounds.MaxY += dy
-	scen := mobility.NewScenario(mode, scfg, base.Split(1))
-
-	sub, apIdx := subPlanFor(plan, home, opt.MaxAPs)
-	w := DefaultWLANOptions(opt.MotionAware)
-	w.Plan = sub
-	w.Obs = opt.Obs
-	w.Trial = trialBase + i
-	return scen, w, base.Split(2).Uint64(), apIdx, mode
-}
-
-// runWLANFleetContended drives every client through one shared medium.
-// Per-client randomness still derives from Split(seed, client index)
-// alone, and the event loop issues every Reserve in the same order at any
-// Jobs value (runContendedSetups), so the run is byte-identical at any
-// worker count. A fleet of one client on an idle medium reproduces the
-// uncontended RunWLAN bit for bit (the immediate-grant path adds no time
-// and draws nothing).
-func runWLANFleetContended(opt FleetOptions, seed uint64) FleetResult {
-	n := opt.Clients
-	if n <= 0 {
-		return FleetResult{}
-	}
-	trialBase := opt.TrialBase
-	if trialBase == 0 {
-		trialBase = fleetTrialBase
-	}
-	plan, channels := contendPlan(opt)
-	setups := make([]contendSetup, n)
-	for i := range setups {
-		scen, w, cseed, apIdx, mode := contendClientSetup(plan, opt, seed, trialBase, i)
-		setups[i] = contendSetup{scen: scen, w: w, seed: cseed, apIdx: apIdx, mode: mode}
-	}
-	return runContendedSetups(opt, plan, channels, setups)
-}
-
 // inFlight is the BSS key of a placeholder event: the heap slot of a
 // granted client whose step is still running. It sorts ahead of every
 // real event at the same instant, since real BSS ids are >= 0.
 const inFlight = -1
 
-// runContendedSetups runs prebuilt contended clients through the shared-
-// medium event loop and aggregates the fleet result.
+// runContendedSetups runs prebuilt contended clients (at least one)
+// through the shared-medium event loop and aggregates the fleet result.
+// A fleet of one client on an idle medium reproduces the uncontended
+// RunWLAN bit for bit: the immediate-grant path adds no time and draws
+// nothing.
 //
 // One goroutine, the caller's, owns the medium and the event heap and
 // makes every Reserve call. A granted client's step — transmit the frame,
@@ -172,12 +105,9 @@ const inFlight = -1
 // so no event at or after that bound is popped before the step is done
 // and the Reserve sequence is the serial one (DESIGN.md §10). Jobs 1 runs
 // every step inline, with no goroutines.
-func runContendedSetups(opt FleetOptions, plan roaming.Plan, channels []int, setups []contendSetup) FleetResult {
+func runContendedSetups(opt FleetOptions, plan roaming.Plan, channels []int, setups []fleetClient) FleetResult {
 	n := len(setups)
 	res := FleetResult{}
-	if n == 0 {
-		return res
-	}
 	clientsMet := opt.Obs.Registry().Counter("sim.fleet.clients")
 
 	mcfg := medium.DefaultConfig()
@@ -194,10 +124,7 @@ func runContendedSetups(opt FleetOptions, plan roaming.Plan, channels []int, set
 		med.AddBSS(ap, channels[i])
 	}
 
-	// Build every client against its home cell. MaxAPs > 0 restricts each
-	// client's simulated links to its nearest APs; link RNG splits are
-	// keyed by global AP index, so the restriction never changes the
-	// channel randomness of the APs that remain.
+	// Build every client against its home cell's sub-plan.
 	clients := make([]*wlanClient, n)
 	modes := make([]mobility.Mode, n)
 	h := medium.NewEventHeap(n)

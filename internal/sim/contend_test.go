@@ -10,6 +10,7 @@ import (
 	"mobiwlan/internal/geom"
 	"mobiwlan/internal/obs"
 	"mobiwlan/internal/roaming"
+	"mobiwlan/internal/scenario"
 	"mobiwlan/internal/stats"
 	"mobiwlan/internal/transport"
 )
@@ -73,8 +74,12 @@ func TestContendedSingleClientMatchesRunWLAN(t *testing.T) {
 		res := RunWLANFleet(opt, 11)
 
 		plan, _ := contendPlan(opt)
-		scen, w, cseed, _, _ := contendClientSetup(plan, opt, 11, fleetTrialBase, 0)
-		want := RunWLAN(scen, w, cseed)
+		clients, err := scenario.Build(scenario.RoundRobin(1, opt.Duration, aware), plan.APs, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := fleetSetups(clients, opt, plan)[0]
+		want := RunWLAN(s.scen, s.w, s.seed)
 
 		got := res.PerClient[0].WLANResult
 		if got != want {
@@ -272,11 +277,11 @@ func TestContendedStepPanicPropagates(t *testing.T) {
 	for _, jobs := range []int{1, 2, 8} {
 		opt.Jobs = jobs
 		plan, channels := contendPlan(opt)
-		setups := make([]contendSetup, opt.Clients)
-		for i := range setups {
-			scen, w, cseed, apIdx, mode := contendClientSetup(plan, opt, 3, fleetTrialBase, i)
-			setups[i] = contendSetup{scen: scen, w: w, seed: cseed, apIdx: apIdx, mode: mode}
+		clients, err := scenario.Build(scenario.RoundRobin(opt.Clients, opt.Duration, opt.MotionAware), plan.APs, 3)
+		if err != nil {
+			t.Fatal(err)
 		}
+		setups := fleetSetups(clients, opt, plan)
 		setups[5].w.Source = panicSource{at: 0.3}
 		done := make(chan any, 1)
 		go func() {

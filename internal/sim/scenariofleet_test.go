@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -85,6 +86,30 @@ func TestRunScenarioFleetContended(t *testing.T) {
 	}
 	if a.Contend.MPDU.Offered == 0 {
 		t.Fatal("no offered MPDUs on the shared medium")
+	}
+}
+
+// TestRunScenarioFleetUncontendedHomeAP pins that home_ap only matters
+// with contention: an uncontended run accepts it and ignores it.
+func TestRunScenarioFleetUncontendedHomeAP(t *testing.T) {
+	const doc = `{
+		"v": 1, "name": "home-mix", "duration_s": 3,
+		"clients": [
+			{ "id": "anchored", "mode": "static"%s },
+			{ "id": "roamer", "mode": "macro" }
+		]
+	}`
+	opt := FleetOptions{Jobs: 2}
+	pinned, err := RunScenarioFleet(parseSpec(t, fmt.Sprintf(doc, `, "home_ap": 1`)), opt, 7)
+	if err != nil {
+		t.Fatalf("uncontended run rejected home_ap: %v", err)
+	}
+	free, err := RunScenarioFleet(parseSpec(t, fmt.Sprintf(doc, "")), opt, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pinned, free) {
+		t.Fatalf("home_ap changed an uncontended run:\n%+v\nvs\n%+v", pinned, free)
 	}
 }
 

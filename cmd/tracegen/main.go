@@ -1,6 +1,5 @@
 // Command tracegen captures PHY-layer traces (CSI, RSSI, distance) from
-// the channel simulator into JSON Lines, for use with the replay-based
-// experiments and external analysis.
+// the channel simulator into JSON Lines, for external analysis.
 //
 // Usage:
 //
@@ -11,9 +10,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"strings"
 
 	"mobiwlan/internal/channel"
 	"mobiwlan/internal/csi"
@@ -24,22 +27,41 @@ import (
 
 //mobilint:stdout tracegen streams the generated trace to stdout by default
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams and exit code exposed for testing.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		mode      = flag.String("mode", "macro", "scenario mode: static|env|micro|macro|toward|away")
-		duration  = flag.Float64("duration", 30, "trace length in seconds")
-		interval  = flag.Float64("interval", 0.05, "sampling interval in seconds")
-		seed      = flag.Uint64("seed", 1, "RNG seed")
-		out       = flag.String("o", "-", "output file ('-' = stdout)")
-		summarize = flag.String("summarize", "", "read and summarize an existing trace instead")
+		mode      = fs.String("mode", "macro", "scenario mode: static|env|micro|macro|toward|away")
+		duration  = fs.Float64("duration", 30, "trace length in seconds")
+		interval  = fs.Float64("interval", 0.05, "sampling interval in seconds")
+		seed      = fs.Uint64("seed", 1, "RNG seed")
+		out       = fs.String("o", "-", "output file ('-' = stdout)")
+		summarize = fs.String("summarize", "", "read and summarize an existing trace instead")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *summarize != "" {
-		if err := summary(*summarize); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
+		if err := summary(stdout, *summarize); err != nil {
+			_, _ = fmt.Fprintln(stderr, "tracegen:", err)
+			return 1
 		}
-		return
+		return 0
+	}
+
+	// Capture steps time by the interval, so a zero, negative or
+	// non-finite one would never reach the end of the trace.
+	if !(*interval > 0) || math.IsInf(*interval, 1) {
+		_, _ = fmt.Fprintf(stderr, "tracegen: -interval must be positive and finite, got %v\n", *interval)
+		return 2
 	}
 
 	cfg := mobility.DefaultSceneConfig()
@@ -60,33 +82,34 @@ func main() {
 	case "away":
 		scen = mobility.NewMacroScenario(mobility.HeadingAway, cfg, rng)
 	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown mode %q\n", *mode)
-		os.Exit(2)
+		_, _ = fmt.Fprintf(stderr, "tracegen: unknown mode %q\n", *mode)
+		return 2
 	}
 
 	ch := channel.New(channel.DefaultConfig(), scen, rng.Split(99))
 	recs := traceio.Capture(ch, *interval, *duration)
 
-	w := os.Stdout
+	w := stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
+			_, _ = fmt.Fprintln(stderr, "tracegen:", err)
+			return 1
 		}
 		defer f.Close()
 		w = f
 	}
 	if err := traceio.Write(w, recs); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+		_, _ = fmt.Fprintln(stderr, "tracegen:", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "tracegen: wrote %d records (%.0f s at %.0f ms)\n",
+	_, _ = fmt.Fprintf(stderr, "tracegen: wrote %d records (%.0f s at %.0f ms)\n",
 		len(recs), *duration, *interval*1000)
+	return 0
 }
 
-//mobilint:stdout -summary renders the trace digest on stdout
-func summary(path string) error {
+// summary writes the digest of the trace at path to w.
+func summary(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -99,9 +122,10 @@ func summary(path string) error {
 	if len(recs) == 0 {
 		return fmt.Errorf("empty trace")
 	}
-	var rssi, dist, sims []float64
+	var times, rssi, dist, sims []float64
 	var prev *csi.Matrix
 	for _, r := range recs {
+		times = append(times, r.Time)
 		rssi = append(rssi, r.RSSIdBm)
 		dist = append(dist, r.Distance)
 		m, err := r.Matrix()
@@ -113,13 +137,14 @@ func summary(path string) error {
 		}
 		prev = m
 	}
-	rp := traceio.NewReplay(recs)
-	fmt.Printf("records:            %d over %.1f s\n", rp.Len(), rp.Duration())
-	fmt.Printf("RSSI:               median %.1f dBm (min %.1f, max %.1f)\n",
+	var b strings.Builder
+	fmt.Fprintf(&b, "records:            %d over %.1f s\n", len(recs), stats.Max(times)-stats.Min(times))
+	fmt.Fprintf(&b, "RSSI:               median %.1f dBm (min %.1f, max %.1f)\n",
 		stats.Median(rssi), stats.Min(rssi), stats.Max(rssi))
-	fmt.Printf("distance:           median %.1f m (min %.1f, max %.1f)\n",
+	fmt.Fprintf(&b, "distance:           median %.1f m (min %.1f, max %.1f)\n",
 		stats.Median(dist), stats.Min(dist), stats.Max(dist))
-	fmt.Printf("CSI similarity:     median %.3f (5th pct %.3f)\n",
+	fmt.Fprintf(&b, "CSI similarity:     median %.3f (5th pct %.3f)\n",
 		stats.Median(sims), stats.Percentile(sims, 5))
-	return nil
+	_, err = io.WriteString(w, b.String())
+	return err
 }

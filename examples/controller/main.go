@@ -4,8 +4,7 @@
 // streams mobility reports to the controller. When the serving AP reports
 // macro-away motion, the controller collects NULL-frame measurements from
 // the neighbors and — if one is stronger and being approached — orders
-// the forced disassociation, shown here as the actual 802.11 frame the AP
-// would transmit.
+// the serving AP to disassociate the client.
 //
 //	go run ./examples/controller
 package main
@@ -19,7 +18,6 @@ import (
 	"mobiwlan/internal/channel"
 	"mobiwlan/internal/core"
 	"mobiwlan/internal/ctlproto"
-	"mobiwlan/internal/dot11"
 	"mobiwlan/internal/geom"
 	"mobiwlan/internal/mobility"
 	"mobiwlan/internal/obs"
@@ -68,7 +66,7 @@ func main() {
 	}()
 	fmt.Printf("controller listening on %s\n\n", srv.Addr())
 
-	clientMAC := dot11.MAC{0xaa, 0xbb, 0xcc, 0x00, 0x11, 0x22}
+	const client = "aa:bb:cc:00:11:22"
 	roamed := make(chan string, 1)
 
 	// Each AP: classifier over its channel, reports every second,
@@ -118,7 +116,7 @@ func main() {
 					fmt.Printf("t=%4.1fs  %s reports client %s (%.0f dBm)\n",
 						t, id, cls.State(), rssi)
 					if err := conn.ReportMobility(ctlproto.MobilityReport{
-						Client:  clientMAC.String(),
+						Client:  client,
 						State:   cls.State(),
 						Time:    t,
 						RSSIdBm: rssi,
@@ -136,7 +134,7 @@ func main() {
 					case ctlproto.TypeMeasureRequest:
 						approaching := trend.Trend() == stats.TrendDecreasing
 						if err := conn.ReportMeasurement(ctlproto.MeasureReport{
-							Client:      clientMAC.String(),
+							Client:      client,
 							RSSIdBm:     link.Measure(t).RSSIdBm,
 							Approaching: approaching,
 							Time:        t,
@@ -148,15 +146,9 @@ func main() {
 					case ctlproto.TypeRoamDirective:
 						d, err := ctlproto.DecodePayload[ctlproto.RoamDirective](env)
 						if err == nil && serving {
-							frame := &dot11.Disassociation{
-								Hdr:    dot11.Header{Addr1: clientMAC, Addr2: dot11.MAC{0, 0, 0, 0, 0, 1}},
-								Reason: 8,
-							}
-							b, _ := frame.Marshal()
 							fmt.Printf("t=%4.1fs  %s forces roam -> candidates %v\n",
 								t, id, d.Candidates)
-							fmt.Printf("         on-air disassociation frame (%d bytes): % x...\n",
-								len(b), b[:12])
+							fmt.Printf("         disassociates client %s (reason 8)\n", client)
 							select {
 							case roamed <- d.Candidates[0]:
 							default:

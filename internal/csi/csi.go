@@ -79,17 +79,6 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Amplitudes returns |H| for every entry, flattened in storage order. The
-// classifier's similarity metric operates on this amplitude profile, since
-// raw CSI phase is corrupted by carrier/timing offsets on real hardware.
-func (m *Matrix) Amplitudes() []float64 {
-	out := make([]float64, len(m.data))
-	for i, v := range m.data {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}
-
 // AvgPower returns the mean of |H|^2 across all entries — the wideband
 // channel power gain used for RSSI.
 func (m *Matrix) AvgPower() float64 {
@@ -288,16 +277,10 @@ func (m *Matrix) FeedbackBits(bitsPerComponent int) int {
 	return m.Subcarriers*m.NTx*m.NRx*2*bitsPerComponent + m.NRx*24
 }
 
-// ColumnAt returns the NTx-element channel vector from all transmit
+// ColumnInto writes the NTx-element channel vector from all transmit
 // antennas to receive antenna rx on subcarrier sc — the per-user channel
-// row used by MU-MIMO precoding. Hot paths should prefer ColumnInto with a
-// reused buffer.
-func (m *Matrix) ColumnAt(sc, rx int) []complex128 {
-	return m.ColumnInto(nil, sc, rx)
-}
-
-// ColumnInto is ColumnAt writing into the caller-owned dst, following the
-// CloneInto reuse contract: dst is grown only when its capacity is
+// row used by MU-MIMO precoding — into the caller-owned dst, following
+// the CloneInto reuse contract: dst is grown only when its capacity is
 // insufficient, so steady-state callers that pass the previous return
 // value back in never allocate.
 //
@@ -319,15 +302,4 @@ func (m *Matrix) Scale(s float64) *Matrix {
 		m.data[i] *= complex(s, 0)
 	}
 	return m
-}
-
-// MaxAbs returns the maximum component magnitude across all entries.
-func (m *Matrix) MaxAbs() float64 {
-	var maxAbs float64
-	for _, v := range m.data {
-		if a := cmplx.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	return maxAbs
 }

@@ -284,14 +284,19 @@ func TestFeedbackBits(t *testing.T) {
 	}
 }
 
-func TestColumnAt(t *testing.T) {
+func TestColumnInto(t *testing.T) {
 	m := NewMatrix(2, 3, 2)
 	m.Set(1, 0, 1, 10)
 	m.Set(1, 1, 1, 20)
 	m.Set(1, 2, 1, 30)
-	col := m.ColumnAt(1, 1)
+	col := m.ColumnInto(nil, 1, 1)
 	if len(col) != 3 || col[0] != 10 || col[1] != 20 || col[2] != 30 {
-		t.Fatalf("ColumnAt = %v", col)
+		t.Fatalf("ColumnInto = %v", col)
+	}
+	// A buffer with enough capacity is reused, not reallocated.
+	again := m.ColumnInto(col, 0, 1)
+	if &again[0] != &col[0] || again[0] != 0 {
+		t.Fatalf("ColumnInto reuse = %v", again)
 	}
 }
 
@@ -301,26 +306,5 @@ func TestScale(t *testing.T) {
 	m.Scale(0.5)
 	if m.At(0, 0, 0) != 1+1i {
 		t.Fatalf("Scale = %v", m.At(0, 0, 0))
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	m := NewMatrix(2, 1, 1)
-	m.Set(0, 0, 0, 3+4i)
-	m.Set(1, 0, 0, 1)
-	if got := m.MaxAbs(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("MaxAbs = %v", got)
-	}
-}
-
-func TestAmplitudesLength(t *testing.T) {
-	m := randomMatrix(52, 3, 2, stats.NewRNG(11))
-	if got := len(m.Amplitudes()); got != 52*3*2 {
-		t.Fatalf("Amplitudes length = %d", got)
-	}
-	for _, a := range m.Amplitudes() {
-		if a < 0 {
-			t.Fatal("negative amplitude")
-		}
 	}
 }

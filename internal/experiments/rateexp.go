@@ -5,7 +5,6 @@ import (
 
 	"mobiwlan/internal/aggregation"
 	"mobiwlan/internal/channel"
-	"mobiwlan/internal/core"
 	"mobiwlan/internal/csi"
 	"mobiwlan/internal/mobility"
 	"mobiwlan/internal/parallel"
@@ -214,8 +213,9 @@ func Figure9a(cfg Config) Result {
 
 // Figure9b reproduces the rate-control bake-off on identical channel
 // conditions: stock Atheros, motion-aware Atheros, RapidSample, SoftRate
-// and ESNR over the same walking traces (the paper's trace-based
-// emulation), reporting mean throughput per scheme.
+// and ESNR, each run through the live link simulator on the same walks
+// and seeds (where the paper replays one recorded trace per walk),
+// reporting mean throughput per scheme.
 func Figure9b(cfg Config) Result {
 	walks := cfg.scaleInt(10, 3)
 	dur := cfg.scaleDur(20, 10)
@@ -303,5 +303,3 @@ func isolateRA(opt *sim.LinkOptions) {
 	opt.Agg = aggregation.Fixed{Limit: 1e-3}
 	opt.Channel.TxPowerDBm = 8
 }
-
-var _ = core.StateStatic // referenced by documentation comments

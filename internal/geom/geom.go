@@ -46,30 +46,14 @@ type Vector struct {
 // Vec is shorthand for Vector{dx, dy}.
 func Vec(dx, dy float64) Vector { return Vector{DX: dx, DY: dy} }
 
-// Add returns v + w.
-func (v Vector) Add(w Vector) Vector { return Vector{v.DX + w.DX, v.DY + w.DY} }
-
 // Scale returns v scaled by s.
 func (v Vector) Scale(s float64) Vector { return Vector{v.DX * s, v.DY * s} }
 
 // Len returns the Euclidean norm of v.
 func (v Vector) Len() float64 { return math.Hypot(v.DX, v.DY) }
 
-// Dot returns the dot product of v and w.
-func (v Vector) Dot(w Vector) float64 { return v.DX*w.DX + v.DY*w.DY }
-
 // Angle returns the direction of v in radians in (-pi, pi].
 func (v Vector) Angle() float64 { return math.Atan2(v.DY, v.DX) }
-
-// Unit returns the unit vector in the direction of v, or the zero vector if
-// v has zero length.
-func (v Vector) Unit() Vector {
-	l := v.Len()
-	if l == 0 {
-		return Vector{}
-	}
-	return Vector{v.DX / l, v.DY / l}
-}
 
 // FromPolar builds a vector from a length and an angle in radians.
 func FromPolar(length, angle float64) Vector {
@@ -125,29 +109,6 @@ func (p Path) At(d float64) Point {
 		d -= l
 	}
 	return p.Waypoints[len(p.Waypoints)-1]
-}
-
-// HeadingAt returns the unit direction of travel at arc-length distance d.
-// For distances beyond the path it returns the heading of the final segment;
-// for an empty or single-point path it returns the zero vector.
-func (p Path) HeadingAt(d float64) Vector {
-	if len(p.Waypoints) < 2 {
-		return Vector{}
-	}
-	if d < 0 {
-		d = 0
-	}
-	remaining := d
-	for i := 1; i < len(p.Waypoints); i++ {
-		seg := Segment{p.Waypoints[i-1], p.Waypoints[i]}
-		l := seg.Len()
-		if remaining <= l && l > 0 {
-			return seg.B.Sub(seg.A).Unit()
-		}
-		remaining -= l
-	}
-	last := Segment{p.Waypoints[len(p.Waypoints)-2], p.Waypoints[len(p.Waypoints)-1]}
-	return last.B.Sub(last.A).Unit()
 }
 
 // Rect is an axis-aligned rectangle, used as a floor-plan boundary.

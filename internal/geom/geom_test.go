@@ -46,20 +46,8 @@ func TestVectorOps(t *testing.T) {
 	if v.Len() != 5 {
 		t.Fatalf("Len = %v", v.Len())
 	}
-	if u := v.Unit(); !approx(u.Len(), 1) {
-		t.Fatalf("Unit length = %v", u.Len())
-	}
-	if z := Vec(0, 0).Unit(); z != Vec(0, 0) {
-		t.Fatalf("zero Unit = %v", z)
-	}
-	if d := Vec(1, 0).Dot(Vec(0, 1)); d != 0 {
-		t.Fatalf("orthogonal dot = %v", d)
-	}
 	if s := Vec(1, 2).Scale(3); s != Vec(3, 6) {
 		t.Fatalf("Scale = %v", s)
-	}
-	if a := Vec(1, 2).Add(Vec(3, 4)); a != Vec(4, 6) {
-		t.Fatalf("Add = %v", a)
 	}
 }
 
@@ -119,22 +107,6 @@ func TestPathEmptyAndSingle(t *testing.T) {
 	}
 	if q := NewPath(Pt(3, 3)).At(5); q != Pt(3, 3) {
 		t.Fatalf("single path At = %v", q)
-	}
-	if h := NewPath(Pt(3, 3)).HeadingAt(0); h != Vec(0, 0) {
-		t.Fatalf("single path heading = %v", h)
-	}
-}
-
-func TestPathHeading(t *testing.T) {
-	p := NewPath(Pt(0, 0), Pt(10, 0), Pt(10, 10))
-	if h := p.HeadingAt(5); h != Vec(1, 0) {
-		t.Fatalf("heading on first segment = %v", h)
-	}
-	if h := p.HeadingAt(15); h != Vec(0, 1) {
-		t.Fatalf("heading on second segment = %v", h)
-	}
-	if h := p.HeadingAt(100); h != Vec(0, 1) {
-		t.Fatalf("heading past end = %v", h)
 	}
 }
 

@@ -59,14 +59,6 @@ func (n *FuncNode) Body() *ast.BlockStmt {
 	return n.Lit.Body
 }
 
-// Span returns the source extent of the node's body.
-func (n *FuncNode) Span() (token.Pos, token.Pos) {
-	if n.Decl != nil {
-		return n.Decl.Pos(), n.Decl.End()
-	}
-	return n.Lit.Pos(), n.Lit.End()
-}
-
 // CallSite is one call expression inside a FuncNode.
 type CallSite struct {
 	// Call is the expression.
@@ -104,12 +96,6 @@ type Program struct {
 	named  []*types.Named
 	ann    *annotations
 }
-
-// NodeOf returns the node for a declared function object, or nil.
-func (p *Program) NodeOf(obj *types.Func) *FuncNode { return p.byObj[obj] }
-
-// NodeOfLit returns the node for a function literal, or nil.
-func (p *Program) NodeOfLit(lit *ast.FuncLit) *FuncNode { return p.byLit[lit] }
 
 // buildProgram constructs the call graph over pkgs (the loader's
 // memoized universe).

@@ -6,10 +6,10 @@ import (
 	"strings"
 )
 
-// Concurrency-discipline checks: sync primitives must be shared by
-// pointer, and goroutines in the controller-protocol and worker-pool
-// packages must not capture shared connections without
-// synchronization.
+// Concurrency-discipline checks: goroutines in the controller-protocol
+// and worker-pool packages must not capture shared connections without
+// synchronization, and no goroutine may capture a channel.Model. Copied
+// sync primitives are go vet's copylocks analyzer's job.
 
 // syncLockTypes / atomicLockTypes are the sync and sync/atomic types
 // whose value semantics break when copied.
@@ -65,110 +65,6 @@ func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
 // typeName renders t relative to the package being linted.
 func typeName(ctx *Context, t types.Type) string {
 	return types.TypeString(t, types.RelativeTo(ctx.Pkg.Types))
-}
-
-var lockParamCheck = &Check{
-	Name:    "lock-param",
-	Default: true,
-	Doc:     "functions must take and return sync-bearing types by pointer; a by-value signature copies the lock on every call",
-	Run: func(ctx *Context) {
-		for _, file := range ctx.Pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					if n.Recv != nil {
-						checkLockFields(ctx, n.Recv, "receiver")
-					}
-					checkLockFields(ctx, n.Type.Params, "parameter")
-					checkLockFields(ctx, n.Type.Results, "result")
-				case *ast.FuncLit:
-					checkLockFields(ctx, n.Type.Params, "parameter")
-					checkLockFields(ctx, n.Type.Results, "result")
-				}
-				return true
-			})
-		}
-	},
-}
-
-// checkLockFields flags non-pointer fields of a signature field list
-// whose types carry sync state.
-func checkLockFields(ctx *Context, fl *ast.FieldList, kind string) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		t := ctx.TypeOf(field.Type)
-		if t == nil {
-			continue
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			continue
-		}
-		if containsLock(t) {
-			ctx.Reportf(field.Type.Pos(), "%s passes %s by value, copying its lock state; use *%s", kind, typeName(ctx, t), typeName(ctx, t))
-		}
-	}
-}
-
-var lockCopyCheck = &Check{
-	Name:    "lock-copy",
-	Default: true,
-	Doc:     "a sync primitive copied by value forks its internal state; share it by pointer",
-	Run: func(ctx *Context) {
-		for _, file := range ctx.Pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					if len(n.Lhs) != len(n.Rhs) {
-						return true
-					}
-					for i, rhs := range n.Rhs {
-						// A blank assignment copies nothing observable.
-						if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-							continue
-						}
-						checkLockCopyExpr(ctx, rhs)
-					}
-				case *ast.ValueSpec:
-					for i, v := range n.Values {
-						if len(n.Names) == len(n.Values) && n.Names[i].Name == "_" {
-							continue
-						}
-						checkLockCopyExpr(ctx, v)
-					}
-				case *ast.RangeStmt:
-					if n.Value != nil {
-						if t := ctx.TypeOf(n.Value); t != nil && containsLock(t) {
-							ctx.Reportf(n.Value.Pos(), "range copies %s elements by value, forking their lock state; range over indices or pointers", typeName(ctx, t))
-						}
-					}
-				}
-				return true
-			})
-		}
-	},
-}
-
-// checkLockCopyExpr flags rhs when it reads an existing lock-bearing
-// value by copy. Composite literals and calls construct fresh values
-// and are allowed.
-func checkLockCopyExpr(ctx *Context, rhs ast.Expr) {
-	switch rhs.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return
-	}
-	t := ctx.TypeOf(rhs)
-	if t == nil {
-		return
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		return
-	}
-	if containsLock(t) {
-		ctx.Reportf(rhs.Pos(), "assignment copies %s by value, forking its lock state; share it with a pointer", typeName(ctx, t))
-	}
 }
 
 var goCaptureCheck = &Check{

@@ -77,7 +77,7 @@ func gotFindings(findings []Finding) map[string][]string {
 // TestFixtures runs every check against each fixture package and
 // compares the findings with the // want markers in the sources.
 func TestFixtures(t *testing.T) {
-	for _, dir := range []string{"determ", "rngbad", "rngok", "locks", "gocap", "modelcap", "errs", "clean", "nodoc", "hotpath", "rngflow", "stdoutpure", "graph"} {
+	for _, dir := range []string{"determ", "rngbad", "rngok", "gocap", "modelcap", "errs", "clean", "nodoc", "hotpath", "rngflow", "stdoutpure", "graph"} {
 		t.Run(dir, func(t *testing.T) {
 			findings, err := Run(fixtureConfig(dir))
 			if err != nil {
@@ -103,7 +103,7 @@ func TestFixtures(t *testing.T) {
 // fixture packages produce a non-empty finding list with file:line
 // positions, i.e. mobilint would exit non-zero on them.
 func TestFixturesFailTheGate(t *testing.T) {
-	for _, dir := range []string{"determ", "rngbad", "locks", "gocap", "modelcap", "errs", "badignore", "nodoc", "hotpath", "rngflow", "stdoutpure"} {
+	for _, dir := range []string{"determ", "rngbad", "gocap", "modelcap", "errs", "badignore", "nodoc", "hotpath", "rngflow", "stdoutpure"} {
 		findings, err := Run(fixtureConfig(dir))
 		if err != nil {
 			t.Fatal(err)

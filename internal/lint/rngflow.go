@@ -128,16 +128,6 @@ func (r *rngPass) paramsOf(n *FuncNode) []*types.Var {
 	return ps
 }
 
-// paramIndex maps an object to its parameter slot in n, or -1.
-func (r *rngPass) paramIndex(n *FuncNode, obj types.Object) int {
-	for i, p := range r.paramsOf(n) {
-		if p == obj {
-			return i
-		}
-	}
-	return -1
-}
-
 // computeRunsInGo iterates the goroutine-escape summary to a fixed
 // point: parameter (n, i) escapes if `go p(...)`, if p is referenced
 // inside a crossing literal of n, or if p is forwarded to an escaping

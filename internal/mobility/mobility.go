@@ -121,33 +121,6 @@ func (w WaypointWalk) At(t float64) geom.Point {
 	return w.Path.At(d)
 }
 
-// HeadingAt returns the walker's unit direction of travel at time t,
-// accounting for ping-pong reversal.
-func (w WaypointWalk) HeadingAt(t float64) geom.Vector {
-	if t < 0 {
-		t = 0
-	}
-	d := w.Speed * t
-	total := w.Path.Len()
-	if total == 0 {
-		return geom.Vector{}
-	}
-	reversed := false
-	if w.PingPong {
-		period := 2 * total
-		d = math.Mod(d, period)
-		if d > total {
-			d = period - d
-			reversed = true
-		}
-	}
-	h := w.Path.HeadingAt(d)
-	if reversed {
-		h = h.Scale(-1)
-	}
-	return h
-}
-
 // ConfinedJitter is smooth, band-limited random motion confined around a
 // center point — the micro-mobility model. The motion is a sum of
 // random-phase sinusoids per axis, which yields natural gesture-like
@@ -261,13 +234,6 @@ func RandomWalkPath(start geom.Point, bounds geom.Rect, legs int, legMin, legMax
 		dir += rng.Range(-1.8, 1.8)
 	}
 	return geom.NewPath(pts...)
-}
-
-// StraightLinePath returns a two-point path from start in direction angle
-// with the given length, clamped to bounds.
-func StraightLinePath(start geom.Point, angle, length float64, bounds geom.Rect) geom.Path {
-	end := bounds.ClampPoint(start.Add(geom.FromPolar(length, angle)))
-	return geom.NewPath(start, end)
 }
 
 // RelativeHeading classifies whether traj is approaching or receding from

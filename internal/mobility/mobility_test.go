@@ -72,27 +72,10 @@ func TestWaypointWalkPingPong(t *testing.T) {
 	}
 }
 
-func TestWaypointWalkHeading(t *testing.T) {
-	w := WaypointWalk{
-		Path:     geom.NewPath(geom.Pt(0, 0), geom.Pt(10, 0)),
-		Speed:    1,
-		PingPong: true,
-	}
-	if h := w.HeadingAt(5); h != geom.Vec(1, 0) {
-		t.Fatalf("forward heading = %v", h)
-	}
-	if h := w.HeadingAt(15); h != geom.Vec(-1, 0) {
-		t.Fatalf("reverse heading = %v", h)
-	}
-}
-
 func TestWaypointWalkEmptyPath(t *testing.T) {
 	w := WaypointWalk{Path: geom.NewPath(geom.Pt(1, 2)), Speed: 1}
 	if p := w.At(5); p != geom.Pt(1, 2) {
 		t.Fatalf("degenerate walk At = %v", p)
-	}
-	if h := w.HeadingAt(5); h != geom.Vec(0, 0) {
-		t.Fatalf("degenerate walk heading = %v", h)
 	}
 }
 
@@ -183,22 +166,6 @@ func TestRandomWalkPathStaysInBounds(t *testing.T) {
 		if p.Len() < 3*8*0.5 {
 			t.Fatalf("seed %d: path suspiciously short: %v m", seed, p.Len())
 		}
-	}
-}
-
-func TestStraightLinePath(t *testing.T) {
-	bounds := geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
-	p := StraightLinePath(geom.Pt(10, 10), 0, 20, bounds)
-	if len(p.Waypoints) != 2 {
-		t.Fatalf("waypoints = %d", len(p.Waypoints))
-	}
-	if p.Waypoints[1].Dist(geom.Pt(30, 10)) > 1e-9 {
-		t.Fatalf("end = %v, want (30,10)", p.Waypoints[1])
-	}
-	// Clamping: walking off the floor truncates.
-	p2 := StraightLinePath(geom.Pt(95, 50), 0, 20, bounds)
-	if p2.Waypoints[1].X > 100 {
-		t.Fatalf("clamped end = %v", p2.Waypoints[1])
 	}
 }
 

@@ -124,15 +124,6 @@ func (h *Histogram) Sum() float64 {
 	return fromMicro(h.sumMicro.Load())
 }
 
-// Bounds returns the bucket upper bounds. The caller must not mutate
-// the returned slice.
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return h.bounds
-}
-
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket
 // counts by linear interpolation within the target bucket,
 // Prometheus-style: the first bucket interpolates from zero, and a
@@ -184,7 +175,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // BucketCount returns the number of samples in bucket i (counting the
-// overflow bucket as i == len(Bounds())).
+// overflow bucket as i == the number of bounds the histogram was
+// created with).
 func (h *Histogram) BucketCount(i int) uint64 {
 	if h == nil {
 		return 0

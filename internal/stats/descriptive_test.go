@@ -104,48 +104,3 @@ func TestClamp(t *testing.T) {
 		t.Error("Clamp misbehaves")
 	}
 }
-
-func TestPearsonCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	if got := PearsonCorrelation(xs, ys); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("perfect positive correlation = %v", got)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if got := PearsonCorrelation(xs, neg); !almostEqual(got, -1, 1e-12) {
-		t.Errorf("perfect negative correlation = %v", got)
-	}
-	if got := PearsonCorrelation(xs, []float64{3, 3, 3, 3, 3}); got != 0 {
-		t.Errorf("zero-variance correlation = %v, want 0", got)
-	}
-	if PearsonCorrelation(xs, []float64{1}) != 0 {
-		t.Error("length mismatch should give 0")
-	}
-}
-
-func TestPearsonCorrelationRangeProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%50) + 2
-		r := NewRNG(seed)
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.NormFloat64()
-			ys[i] = r.NormFloat64()
-		}
-		c := PearsonCorrelation(xs, ys)
-		return c >= -1-1e-9 && c <= 1+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSum(t *testing.T) {
-	if Sum([]float64{1, 2, 3}) != 6 {
-		t.Error("Sum broken")
-	}
-	if Sum(nil) != 0 {
-		t.Error("empty Sum should be 0")
-	}
-}

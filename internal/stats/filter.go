@@ -111,32 +111,3 @@ func (e *EWMA) Reset() { e.val, e.init = 0, false }
 // Set overrides the current average with v, marking the EWMA initialized.
 // Rate control uses this to enforce PER monotonicity across bit-rates.
 func (e *EWMA) Set(v float64) { e.val, e.init = v, true }
-
-// RunningMedian maintains the median of the last capacity values.
-type RunningMedian struct {
-	window  *MovingWindow
-	scratch []float64
-}
-
-// NewRunningMedian returns a running median over the last capacity values.
-func NewRunningMedian(capacity int) *RunningMedian {
-	return &RunningMedian{window: NewMovingWindow(capacity)}
-}
-
-// Push adds a value.
-func (r *RunningMedian) Push(x float64) { r.window.Push(x) }
-
-// Value returns the median of the buffered values (0 when empty).
-func (r *RunningMedian) Value() float64 {
-	v := r.window.Values()
-	if len(v) == 0 {
-		return 0
-	}
-	r.scratch = append(r.scratch[:0], v...)
-	sort.Float64s(r.scratch)
-	n := len(r.scratch)
-	if n%2 == 1 {
-		return r.scratch[n/2]
-	}
-	return (r.scratch[n/2-1] + r.scratch[n/2]) / 2
-}

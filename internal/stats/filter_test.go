@@ -166,29 +166,3 @@ func TestEWMABoundedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRunningMedian(t *testing.T) {
-	r := NewRunningMedian(3)
-	if r.Value() != 0 {
-		t.Fatal("empty running median should be 0")
-	}
-	r.Push(1)
-	r.Push(100)
-	r.Push(2)
-	if got := r.Value(); got != 2 {
-		t.Fatalf("running median = %v, want 2", got)
-	}
-	r.Push(3) // evicts 1 -> {100, 2, 3}
-	if got := r.Value(); got != 3 {
-		t.Fatalf("running median after eviction = %v, want 3", got)
-	}
-}
-
-func TestRunningMedianEven(t *testing.T) {
-	r := NewRunningMedian(4)
-	r.Push(1)
-	r.Push(2)
-	if got := r.Value(); got != 1.5 {
-		t.Fatalf("even-count running median = %v, want 1.5", got)
-	}
-}

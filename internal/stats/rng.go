@@ -107,19 +107,6 @@ func (r *RNG) Gaussian(mean, stddev float64) float64 {
 	return mean + stddev*r.NormFloat64()
 }
 
-// Exp returns an exponential variate with the given mean. It panics if
-// mean <= 0.
-func (r *RNG) Exp(mean float64) float64 {
-	if mean <= 0 {
-		panic("stats: Exp called with non-positive mean")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
 // Bool returns true with probability p (clamped to [0,1]).
 func (r *RNG) Bool(p float64) bool {
 	if p <= 0 {
@@ -129,23 +116,4 @@ func (r *RNG) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Shuffle pseudo-randomly permutes the first n elements using swap, in the
-// manner of math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -107,22 +106,6 @@ func TestGaussianScaling(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := NewRNG(19)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := r.Exp(2.5)
-		if v < 0 {
-			t.Fatalf("Exp returned negative value %v", v)
-		}
-		sum += v
-	}
-	if m := sum / n; math.Abs(m-2.5) > 0.05 {
-		t.Fatalf("exponential mean = %v, want ~2.5", m)
-	}
-}
-
 func TestIntnBounds(t *testing.T) {
 	r := NewRNG(23)
 	seen := map[int]bool{}
@@ -165,28 +148,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 	if !r.Bool(1) {
 		t.Fatal("Bool(1) returned false")
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 50}
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%20) + 1
-		p := NewRNG(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 

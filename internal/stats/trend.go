@@ -57,24 +57,3 @@ func MonotoneTrend(xs []float64, tolerance float64) Trend {
 		return TrendNone
 	}
 }
-
-// LinearFit returns the least-squares slope and intercept of y against the
-// index 0..len(ys)-1. It returns (0, mean) for sequences shorter than 2.
-func LinearFit(ys []float64) (slope, intercept float64) {
-	n := len(ys)
-	if n < 2 {
-		return 0, Mean(ys)
-	}
-	// x values are 0..n-1.
-	mx := float64(n-1) / 2
-	my := Mean(ys)
-	var sxy, sxx float64
-	for i, y := range ys {
-		dx := float64(i) - mx
-		sxy += dx * (y - my)
-		sxx += dx * dx
-	}
-	slope = sxy / sxx
-	intercept = my - slope*mx
-	return slope, intercept
-}

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -64,43 +63,5 @@ func TestMonotoneTrendReversalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	// y = 2x + 1
-	ys := []float64{1, 3, 5, 7, 9}
-	slope, intercept := LinearFit(ys)
-	if math.Abs(slope-2) > 1e-9 || math.Abs(intercept-1) > 1e-9 {
-		t.Fatalf("fit = (%v, %v), want (2, 1)", slope, intercept)
-	}
-}
-
-func TestLinearFitConstant(t *testing.T) {
-	slope, intercept := LinearFit([]float64{5, 5, 5})
-	if slope != 0 || intercept != 5 {
-		t.Fatalf("constant fit = (%v, %v)", slope, intercept)
-	}
-}
-
-func TestLinearFitShort(t *testing.T) {
-	slope, intercept := LinearFit([]float64{7})
-	if slope != 0 || intercept != 7 {
-		t.Fatalf("singleton fit = (%v, %v)", slope, intercept)
-	}
-}
-
-func TestLinearFitNoiseRobust(t *testing.T) {
-	r := NewRNG(5)
-	ys := make([]float64, 200)
-	for i := range ys {
-		ys[i] = 0.5*float64(i) + 3 + r.Gaussian(0, 0.5)
-	}
-	slope, intercept := LinearFit(ys)
-	if math.Abs(slope-0.5) > 0.01 {
-		t.Fatalf("noisy slope = %v, want ~0.5", slope)
-	}
-	if math.Abs(intercept-3) > 0.5 {
-		t.Fatalf("noisy intercept = %v, want ~3", intercept)
 	}
 }

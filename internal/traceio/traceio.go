@@ -1,7 +1,6 @@
-// Package traceio records and replays PHY-layer traces (CSI, RSSI, ToF
-// distance) as JSON Lines — the same methodology as the paper's
-// trace-based emulations (§4.3, §6.2): collect a channel trace once, then
-// evaluate many protocol variants against identical channel conditions.
+// Package traceio records PHY-layer traces (CSI, RSSI, AP-client
+// distance) as JSON Lines, so a channel trace can be captured once and
+// analysed outside the simulator.
 package traceio
 
 import (
@@ -9,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"mobiwlan/internal/channel"
 	"mobiwlan/internal/csi"
@@ -23,7 +21,7 @@ type Record struct {
 	RSSIdBm float64 `json:"rssi"`
 	// SNRdB is the wideband SNR.
 	SNRdB float64 `json:"snr"`
-	// Distance is the true AP-client distance (for ToF replay).
+	// Distance is the true AP-client distance.
 	Distance float64 `json:"dist"`
 	// Subcarriers, NTx, NRx are the CSI dimensions.
 	Subcarriers int `json:"nsc"`
@@ -128,41 +126,4 @@ func Capture(m *channel.Model, interval, duration float64) []Record {
 		out = append(out, FromSample(m.Measure(t)))
 	}
 	return out
-}
-
-// Replay provides time-indexed access to a recorded trace.
-type Replay struct {
-	recs []Record
-}
-
-// NewReplay wraps records (sorted by time) for replay.
-func NewReplay(recs []Record) *Replay {
-	sorted := make([]Record, len(recs))
-	copy(sorted, recs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
-	return &Replay{recs: sorted}
-}
-
-// Len returns the number of records.
-func (r *Replay) Len() int { return len(r.recs) }
-
-// Duration returns the time span of the trace.
-func (r *Replay) Duration() float64 {
-	if len(r.recs) == 0 {
-		return 0
-	}
-	return r.recs[len(r.recs)-1].Time - r.recs[0].Time
-}
-
-// At returns the latest record with Time <= t (the sample a protocol
-// would be holding at time t), or the first record for t before the trace.
-func (r *Replay) At(t float64) Record {
-	if len(r.recs) == 0 {
-		return Record{}
-	}
-	i := sort.Search(len(r.recs), func(i int) bool { return r.recs[i].Time > t })
-	if i == 0 {
-		return r.recs[0]
-	}
-	return r.recs[i-1]
 }

@@ -91,40 +91,3 @@ func TestReadRejectsGarbage(t *testing.T) {
 		t.Fatal("expected parse error")
 	}
 }
-
-func TestReplayAt(t *testing.T) {
-	recs := []Record{{Time: 0}, {Time: 1}, {Time: 2}}
-	rp := NewReplay(recs)
-	if rp.Len() != 3 || rp.Duration() != 2 {
-		t.Fatalf("Len/Duration = %d/%v", rp.Len(), rp.Duration())
-	}
-	if rp.At(-5).Time != 0 {
-		t.Fatal("before-trace should return first record")
-	}
-	if rp.At(0.5).Time != 0 {
-		t.Fatal("At(0.5) should hold the t=0 sample")
-	}
-	if rp.At(1).Time != 1 {
-		t.Fatal("At(1) should return the t=1 sample")
-	}
-	if rp.At(99).Time != 2 {
-		t.Fatal("after-trace should return last record")
-	}
-}
-
-func TestReplaySortsInput(t *testing.T) {
-	rp := NewReplay([]Record{{Time: 2}, {Time: 0}, {Time: 1}})
-	if rp.At(0.5).Time != 0 {
-		t.Fatal("replay did not sort records")
-	}
-}
-
-func TestReplayEmpty(t *testing.T) {
-	rp := NewReplay(nil)
-	if rp.Duration() != 0 {
-		t.Fatal("empty duration")
-	}
-	if r := rp.At(1); r.Time != 0 || r.CSI != nil {
-		t.Fatal("empty replay should return zero record")
-	}
-}

@@ -46,12 +46,12 @@ func TestResponseIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestKernelStrategiesAllocFree pins both batched-kernel strategies
+// TestKernelStrategiesAllocFree pins both regimes of the batched kernel
 // separately: a macro client moves every call (every ResponseInto miss
-// runs evalDirect), while an environmental client holds still as its
-// movers advance (every miss runs evalIncremental with the memoized
-// prefix). Both must stay allocation-free once the per-path cache state
-// has been sized.
+// runs evalIncremental from first = 0, re-keying every path), while an
+// environmental client holds still as its movers advance (every miss runs
+// from first > 0 with the memoized prefix). Both must stay
+// allocation-free once the per-path cache state has been sized.
 func TestKernelStrategiesAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -34,9 +34,7 @@ var hotpathManifest = map[string][]hotpathPin{
 		{"internal/channel/channel.go", "Model", "MeasureInto"},
 	},
 	"TestKernelStrategiesAllocFree": {
-		{"internal/channel/kernel.go", "Model", "evalDirect"},
 		{"internal/channel/kernel.go", "Model", "evalIncremental"},
-		{"internal/channel/kernel.go", "", "chainSweep"},
 		{"internal/channel/kernel.go", "", "chainSweepPrefixed"},
 		{"internal/channel/pow4.go", "", "pow075x4"},
 		{"internal/fastmath/fastmath.go", "", "Sincos"},

@@ -215,18 +215,15 @@ func BenchmarkLinkSimSecond(b *testing.B) {
 }
 
 // benchLinkSecond runs one second of the closed-loop link simulator per
-// iteration for a given mobility mode, with the channel coherence cache
-// on or off. Results are bit-identical either way (the cache contract,
-// pinned by TestCacheBitIdenticalAcrossModes); only the cost differs.
-// The seed is fixed so every iteration does identical work: frame
-// counts — and with them allocs/op and B/op — are seed-dependent, and
-// the benchstatus gate compares allocation columns exactly.
-func benchLinkSecond(b *testing.B, mode mobility.Mode, disableCache bool) {
+// iteration for a given mobility mode. The seed is fixed so every
+// iteration does identical work: frame counts — and with them allocs/op
+// and B/op — are seed-dependent, and the benchstatus gate compares
+// allocation columns exactly.
+func benchLinkSecond(b *testing.B, mode mobility.Mode) {
 	cfg := mobility.DefaultSceneConfig()
 	cfg.Duration = 1
 	scen := mobility.NewScenario(mode, cfg, stats.NewRNG(4))
 	opt := sim.MotionAwareLinkOptions()
-	opt.Channel.DisableCache = disableCache
 	_ = sim.RunLink(scen, opt, 42) // warm one-time lazy state outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -237,19 +234,14 @@ func benchLinkSecond(b *testing.B, mode mobility.Mode, disableCache bool) {
 
 // BenchmarkStaticLinkSecond is the coherence cache's headline number: a
 // static client's geometry never changes, so after the first frame every
-// ResponseInto in the MAC hot path is an epoch hit (a matrix copy). The
-// Uncached variant runs the identical workload with Config.DisableCache
-// set; the ratio of the two is the cache's speedup, gated ≥3x by the
-// committed BENCH_pr5.json baseline.
-func BenchmarkStaticLinkSecond(b *testing.B)         { benchLinkSecond(b, mobility.Static, false) }
-func BenchmarkStaticLinkSecondUncached(b *testing.B) { benchLinkSecond(b, mobility.Static, true) }
+// ResponseInto in the MAC hot path is an epoch hit (a matrix copy).
+func BenchmarkStaticLinkSecond(b *testing.B) { benchLinkSecond(b, mobility.Static) }
 
 // BenchmarkEnvLinkSecond covers the partial-reuse path: environmental
 // mobility moves a few scatterers while the client stays put, so each
 // epoch miss re-evaluates only the paths whose length changed and reuses
-// every other path's cached phasor series.
-func BenchmarkEnvLinkSecond(b *testing.B)         { benchLinkSecond(b, mobility.Environmental, false) }
-func BenchmarkEnvLinkSecondUncached(b *testing.B) { benchLinkSecond(b, mobility.Environmental, true) }
+// every other path's memoized phasors.
+func BenchmarkEnvLinkSecond(b *testing.B) { benchLinkSecond(b, mobility.Environmental) }
 
 // BenchmarkWLANFleet tracks the multi-client scale harness: a small mixed
 // fleet (all four mobility classes, round-robin) of full WLAN stacks for

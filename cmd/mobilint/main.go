@@ -10,7 +10,6 @@
 //	go run ./cmd/mobilint -list            # show the checks
 //	go run ./cmd/mobilint -checks map-order,time-now ./...
 //	go run ./cmd/mobilint -format json ./...          # CI artifact
-//	go run ./cmd/mobilint -format sarif ./...         # PR annotations
 //	go run ./cmd/mobilint -baseline lint_baseline.json ./...
 //
 // Exit status: 0 clean, 1 findings, 2 usage or analysis error.
@@ -40,11 +39,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mobilint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list registered checks and exit")
-	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all default-enabled checks)")
-	format := fs.String("format", "text", "output format: text, json or sarif")
+	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all checks)")
+	format := fs.String("format", "text", "output format: text or json")
 	baseline := fs.String("baseline", "", "JSON baseline file; recorded findings are tolerated, only new ones fail")
 	fs.Usage = func() {
-		_, _ = fmt.Fprintf(stderr, "usage: mobilint [-list] [-checks c1,c2] [-format text|json|sarif] [-baseline file] [packages]\n")
+		_, _ = fmt.Fprintf(stderr, "usage: mobilint [-list] [-checks c1,c2] [-format text|json] [-baseline file] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -55,19 +54,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sorted := append([]*lint.Check(nil), lint.Checks...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
 		for _, c := range sorted {
-			def := "off"
-			if c.Default {
-				def = "on"
-			}
-			_, _ = fmt.Fprintf(stdout, "%-16s %-4s %s\n", c.Name, def, c.Doc)
+			_, _ = fmt.Fprintf(stdout, "%-16s %s\n", c.Name, c.Doc)
 		}
 		return 0
 	}
 
 	switch *format {
-	case "text", "json", "sarif":
+	case "text", "json":
 	default:
-		_, _ = fmt.Fprintf(stderr, "mobilint: unknown -format %q (want text, json or sarif)\n", *format)
+		_, _ = fmt.Fprintf(stderr, "mobilint: unknown -format %q (want text or json)\n", *format)
 		return 2
 	}
 
@@ -97,11 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *format {
 	case "json":
 		if err := lint.WriteJSON(stdout, findings); err != nil {
-			_, _ = fmt.Fprintln(stderr, "mobilint:", err)
-			return 2
-		}
-	case "sarif":
-		if err := lint.WriteSARIF(stdout, findings); err != nil {
 			_, _ = fmt.Fprintln(stderr, "mobilint:", err)
 			return 2
 		}

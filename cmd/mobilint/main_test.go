@@ -44,8 +44,8 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestListOutput checks -list is sorted and carries a description and
-// the default-enabled marker for every check.
+// TestListOutput checks -list is sorted and carries a description for
+// every check.
 func TestListOutput(t *testing.T) {
 	code, out, _ := runCLI("-list")
 	if code != 0 {
@@ -58,14 +58,11 @@ func TestListOutput(t *testing.T) {
 	var names []string
 	for _, line := range lines {
 		fields := strings.Fields(line)
-		if len(fields) < 3 {
-			t.Errorf("-list line %q lacks name, on/off flag and description", line)
+		if len(fields) < 2 {
+			t.Errorf("-list line %q lacks name and description", line)
 			continue
 		}
 		names = append(names, fields[0])
-		if fields[1] != "on" && fields[1] != "off" {
-			t.Errorf("-list line %q: second column %q is not on/off", line, fields[1])
-		}
 	}
 	if !sort.StringsAreSorted(names) {
 		t.Errorf("-list output not sorted: %v", names)
@@ -113,21 +110,6 @@ func TestJSONFormat(t *testing.T) {
 		if f.File == "" || f.Line <= 0 || f.Check == "" || f.Message == "" {
 			t.Errorf("incomplete finding %+v", f)
 		}
-	}
-}
-
-// TestSARIFFormat sanity-checks the SARIF envelope.
-func TestSARIFFormat(t *testing.T) {
-	code, out, _ := runCLI("-format", "sarif", dirtyFixture)
-	if code != 1 {
-		t.Fatalf("want exit 1, got %d", code)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("-format sarif output does not parse: %v", err)
-	}
-	if doc["version"] != "2.1.0" {
-		t.Errorf("sarif version = %v, want 2.1.0", doc["version"])
 	}
 }
 

@@ -139,13 +139,15 @@ func cmdFleet(args []string) {
 			}
 		}
 	}
+	// Print the fleet that ran, not the flags: RoundRobin maps a
+	// non-positive -duration to the scene default and a negative
+	// -clients to an empty fleet.
+	label := ""
 	if *scenFile != "" {
-		fmt.Printf("fleet: scenario %s, %d clients x %.0f s, total %.1f Mbps, mean %.2f Mbps, %d handoffs, %d scans\n",
-			spec.Name, len(res.PerClient), spec.DurationS, res.TotalMbps, res.MeanMbps, res.Handoffs, res.Scans)
-	} else {
-		fmt.Printf("fleet: %d clients x %.0f s, total %.1f Mbps, mean %.2f Mbps, %d handoffs, %d scans\n",
-			*clients, *duration, res.TotalMbps, res.MeanMbps, res.Handoffs, res.Scans)
+		label = "scenario " + spec.Name + ", "
 	}
+	fmt.Printf("fleet: %s%d clients x %.0f s, total %.1f Mbps, mean %.2f Mbps, %d handoffs, %d scans\n",
+		label, len(res.PerClient), spec.DurationS, res.TotalMbps, res.MeanMbps, res.Handoffs, res.Scans)
 	if cs := res.Contend; cs != nil {
 		if !*quiet {
 			for b, s := range cs.BSS {

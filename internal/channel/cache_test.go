@@ -9,14 +9,13 @@ import (
 	"mobiwlan/internal/stats"
 )
 
-// cachedAndUncached builds two models of the same scenario and seeds that
-// differ only in Config.DisableCache, so every divergence between them is
-// the cache's fault.
+// cachedAndUncached builds two identical models of the same scenario and
+// seeds. Tests drive the cached one through ResponseInto/MeasureInto and
+// the uncached one only through referenceInto (and sample), so every
+// divergence between them is the cache's fault.
 func cachedAndUncached(cfg Config, build func(rng *stats.RNG) *mobility.Scenario, seed uint64) (cached, uncached *Model) {
-	cfgOff := cfg
-	cfgOff.DisableCache = true
 	cached = New(cfg, build(stats.NewRNG(seed)), stats.NewRNG(seed+1000))
-	uncached = New(cfgOff, build(stats.NewRNG(seed)), stats.NewRNG(seed+1000))
+	uncached = New(cfg, build(stats.NewRNG(seed)), stats.NewRNG(seed+1000))
 	return cached, uncached
 }
 
@@ -49,13 +48,13 @@ func TestCacheBitIdenticalAcrossModes(t *testing.T) {
 			var hc, hu *csi.Matrix
 			for _, tt := range times {
 				hc = mc.ResponseInto(tt, hc)
-				hu = mu.ResponseInto(tt, hu)
+				hu = mu.referenceInto(tt, hu)
 				requireSameBits(t, "response", tt, hc, hu)
 			}
 			var bc, bu *csi.Matrix
 			for _, tt := range times {
 				sc := mc.MeasureInto(tt, bc)
-				su := mu.MeasureInto(tt, bu)
+				su := mu.sample(tt, mu.referenceInto(tt, bu))
 				bc, bu = sc.CSI, su.CSI
 				requireSameBits(t, "measure", tt, sc.CSI, su.CSI)
 				if sc.RSSIdBm != su.RSSIdBm || sc.SNRdB != su.SNRdB {
@@ -156,7 +155,7 @@ func TestCacheInvalidation(t *testing.T) {
 			var hc, hu *csi.Matrix
 			for _, tt := range tc.times {
 				hc = mc.ResponseInto(tt, hc)
-				hu = mu.ResponseInto(tt, hu)
+				hu = mu.referenceInto(tt, hu)
 				requireSameBits(t, tc.name, tt, hc, hu)
 			}
 		})
@@ -177,7 +176,7 @@ func TestCacheScattererAppearance(t *testing.T) {
 	step := func(tt float64) {
 		t.Helper()
 		hc = mc.ResponseInto(tt, hc)
-		hu = mu.ResponseInto(tt, hu)
+		hu = mu.referenceInto(tt, hu)
 		requireSameBits(t, "appearance", tt, hc, hu)
 	}
 
@@ -198,8 +197,8 @@ func TestCacheScattererAppearance(t *testing.T) {
 }
 
 // TestCacheStatsCounters pins the cache's observable behaviour: a static
-// scenario collapses to one evaluation per epoch, an environmental one
-// recomputes only the moving paths, and a disabled cache reports nothing.
+// scenario collapses to one evaluation per epoch, and an environmental
+// one recomputes only the moving paths.
 func TestCacheStatsCounters(t *testing.T) {
 	t.Run("static-epoch-hits", func(t *testing.T) {
 		m := model(mobility.Static, 7)
@@ -227,19 +226,6 @@ func TestCacheStatsCounters(t *testing.T) {
 		if evals == 0 || evals >= nPairs*nPaths {
 			t.Fatalf("environmental step recomputed %d of %d chains, want a strict subset",
 				evals, nPairs*nPaths)
-		}
-	})
-	t.Run("disabled-reports-nothing", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.DisableCache = true
-		scen := mobility.NewScenario(mobility.Static, mobility.DefaultSceneConfig(), stats.NewRNG(3))
-		m := New(cfg, scen, stats.NewRNG(4))
-		var h *csi.Matrix
-		for i := 0; i < 3; i++ {
-			h = m.ResponseInto(0, h)
-		}
-		if st := m.CacheStats(); st != (CacheStats{}) {
-			t.Fatalf("disabled cache has non-zero stats: %+v", st)
 		}
 	})
 }

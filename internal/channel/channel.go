@@ -23,7 +23,6 @@ package channel
 
 import (
 	"math"
-	"math/cmplx"
 
 	"mobiwlan/internal/csi"
 	"mobiwlan/internal/geom"
@@ -74,12 +73,6 @@ type Config struct {
 	// people) that makes the channel multipath-dominated — Rician with a
 	// small K factor. 0 removes the LoS entirely (pure NLOS).
 	LoSGain float64
-	// DisableCache turns off the coherence-aware response cache and
-	// recomputes every path on every call — the pre-cache behaviour, kept
-	// for benchmarking and for the cache equivalence tests. Cached and
-	// uncached responses are bit-identical (see DESIGN.md, "Channel
-	// coherence cache"), so this flag never changes results, only cost.
-	DisableCache bool
 }
 
 // DefaultConfig mirrors the paper's testbed: HP MSM 460 (3 antennas,
@@ -161,12 +154,12 @@ type Model struct {
 	// bounce per scatterer), reused across calls so the steady-state hot
 	// path does not allocate.
 	paths []path
-	// contribs and rots are the per-path phasor accumulators and rotation
-	// steps for one antenna pair. Keeping all paths' phasor chains in
-	// flight at once (advanced together per subcarrier) turns the
-	// latency-bound serial rotation into independent chains without
-	// changing a single floating-point operation or its order.
-	contribs, rots []complex128
+	// contribs are the per-path phasor accumulators for one antenna pair
+	// in the Go chain sweep. Keeping all paths' phasor chains in flight at
+	// once (advanced together per subcarrier) turns the latency-bound
+	// serial rotation into independent chains without changing a single
+	// floating-point operation or its order.
+	contribs []complex128
 	// legsTx/legsRx, amps and powIdx are pass scratch for the batched
 	// kernel (kernel.go): per-antenna bounce-leg distances at
 	// [anti*nPaths+pi], per-path amplitudes, and the gathered path-index
@@ -198,28 +191,27 @@ type Model struct {
 // respCache memoizes the last noise-free response so that repeated
 // ResponseInto calls pay only for the geometry that actually changed.
 //
-// Two levels:
+// ResponseInto scans the epoch key (client position, then every path's
+// via and gain) for first, the lowest path whose key changed:
 //
-//   - Epoch level: if the client position and every path endpoint (gain +
-//     scatterer position) are unchanged since the previous call, the
+//   - first == nPaths: nothing changed since the previous call, so the
 //     previous post-shadow matrix is copied out verbatim. Static trials
 //     collapse to one real evaluation per epoch.
-//   - Path level: otherwise the struct-of-arrays kernel (kernel.go) runs
-//     one of two strategies. If the client moved, every path length
-//     changed, so evalDirect recomputes everything while refreshing the
-//     per-(pair, path) phasor memo. If only scatterers moved,
-//     evalIncremental seeds each subcarrier's accumulator with the
-//     memoized ordered prefix sum of the leading unchanged paths and
-//     re-keys only the paths at and after the first change on (length,
-//     gain) — environmental trials pay only for the moving chains. The
+//   - otherwise the struct-of-arrays kernel (kernel.go) runs from first.
+//     It seeds each subcarrier's accumulator with the memoized ordered
+//     prefix sum of the leading unchanged paths and re-keys every path at
+//     and after first on (length, gain). A moved client (or a cold cache)
+//     gives first = 0, so every path is re-keyed; when only scatterers
+//     moved, environmental trials pay only for the moving chains. The
 //     summation still runs over all paths in the original order, so the
-//     output is bit-identical to an uncached evaluation.
+//     output is bit-identical to the scalar reference (reference_test.go).
 //
 // The cache never covers noise: MeasureInto draws its Gaussians after
 // ResponseInto returns, so RNG draw order is untouched by hits or misses.
 type respCache struct {
-	// epochValid gates the epoch-level fast path; client/vias/gains are the
-	// epoch key, resp the post-shadow matrix it produced.
+	// epochValid gates the key scan (a resized key is all zeros and must
+	// not match); client/vias/gains are the epoch key, resp the post-shadow
+	// matrix it produced.
 	epochValid bool
 	client     geom.Point
 	vias       []geom.Point
@@ -241,9 +233,9 @@ type respCache struct {
 	// pref memoizes, at [pair*nSub+sc], the ordered per-subcarrier partial
 	// sum of paths [0, prefLen) — always a prefix of the path order, so
 	// seeding an accumulator with it preserves the exact addition sequence.
-	pref      []complex128
-	prefLen   int
-	prefValid bool
+	// prefLen 0 means no memoized prefix.
+	pref    []complex128
+	prefLen int
 
 	// shadowDB/shadowScale memoize the 10^(dB/20) conversion of the last
 	// shadow-field value; shadowOK distinguishes "never computed" from a
@@ -267,8 +259,7 @@ type CacheStats struct {
 	PathReuses uint64
 }
 
-// CacheStats returns the model's response-cache counters. All zeros when
-// the cache is disabled.
+// CacheStats returns the model's response-cache counters.
 func (m *Model) CacheStats() CacheStats {
 	return CacheStats{
 		Hits:       m.cache.hits,
@@ -334,15 +325,11 @@ func NewAt(cfg Config, ap geom.Point, scen *mobility.Scenario, rng *stats.RNG) *
 	m.fused = fusedSweepOK && cfg.NTx*cfg.NRx%2 == 0 && cfg.Subcarriers > 0 && cfg.Subcarriers%4 == 0
 	m.paths = make([]path, 0, 1+len(scen.Scatterers))
 	m.contribs = make([]complex128, 0, 1+len(scen.Scatterers))
-	m.rots = make([]complex128, 0, 1+len(scen.Scatterers))
 	return m
 }
 
 // Config returns the model's radio configuration.
 func (m *Model) Config() Config { return m.cfg }
-
-// AP returns the AP position this model observes from.
-func (m *Model) AP() geom.Point { return m.ap }
 
 // Distance returns the true AP-client distance at time t.
 func (m *Model) Distance(t float64) float64 {
@@ -369,8 +356,8 @@ func (m *Model) ResponseInto(t float64, h *csi.Matrix) *csi.Matrix {
 	if h == nil {
 		h = csi.NewMatrix(m.cfg.Subcarriers, m.cfg.NTx, m.cfg.NRx)
 	} else if h.Subcarriers != m.cfg.Subcarriers || h.NTx != m.cfg.NTx || h.NRx != m.cfg.NRx {
-		// No Zero() on reuse: every evaluation strategy overwrites the
-		// full matrix.
+		// No Zero() on reuse: both a hit and the kernel overwrite the full
+		// matrix.
 		panic("channel: ResponseInto buffer has wrong dimensions for this model")
 	}
 
@@ -381,82 +368,10 @@ func (m *Model) ResponseInto(t float64, h *csi.Matrix) *csi.Matrix {
 		m.paths = append(m.paths, path{gain: sc.Reflectivity, via: sc.Traj.At(t), bounce: true})
 	}
 
-	if m.cfg.DisableCache {
-		m.responseUncached(client, h)
-	} else {
-		m.responseCached(client, h)
-	}
-	return h
-}
-
-// responseUncached is the pre-cache evaluation: every path's phasor chain
-// is recomputed on every call. It is kept verbatim as the reference the
-// cached path must match bit-for-bit.
-func (m *Model) responseUncached(client geom.Point, h *csi.Matrix) {
-	lambdaScale := m.cfg.Wavelength() / (4 * math.Pi)
-	data := h.Data()
-	stride := m.cfg.NTx * m.cfg.NRx
-	for txi, txOff := range m.apAnts {
-		txPos := m.ap.Add(txOff)
-		for rxi, rxOff := range m.clientAnts {
-			rxPos := client.Add(rxOff)
-			// Phase at the first subcarrier, then rotate by a constant
-			// per-subcarrier increment (avoids a sincos per subcarrier).
-			m.contribs = m.contribs[:0]
-			m.rots = m.rots[:0]
-			for _, p := range m.paths {
-				var length float64
-				if p.bounce {
-					length = txPos.Dist(p.via) + p.via.Dist(rxPos)
-				} else {
-					length = txPos.Dist(rxPos)
-				}
-				if length < 0.1 {
-					length = 0.1
-				}
-				amp := p.gain * lambdaScale / length
-				// Indoor excess path loss beyond the breakpoint.
-				if bp := m.cfg.PathLossBreakM; bp > 0 && length > bp && m.cfg.PathLossExponent > 2 {
-					amp *= math.Pow(bp/length, (m.cfg.PathLossExponent-2)/2)
-				}
-				m.contribs = append(m.contribs, cmplx.Rect(amp, -2*math.Pi*m.f0*length/SpeedOfLight))
-				m.rots = append(m.rots, cmplx.Rect(1, -2*math.Pi*m.df*length/SpeedOfLight))
-			}
-			// Advance every path's phasor chain together, one subcarrier
-			// per step. The per-path multiply sequence and the per-entry
-			// path-order summation are identical to rotating each path
-			// independently, so the result is bit-for-bit the same — but
-			// the chains are now independent across paths, so the FPU
-			// pipelines them instead of stalling on one chain's latency.
-			contribs, rots := m.contribs, m.rots
-			idx := txi*m.cfg.NRx + rxi
-			for sc := 0; sc < m.cfg.Subcarriers; sc++ {
-				sum := complex(0, 0)
-				for pi := range contribs {
-					sum += contribs[pi]
-					contribs[pi] *= rots[pi]
-				}
-				data[idx] = sum
-				idx += stride
-			}
-		}
-	}
-
-	// Apply position-dependent shadowing as a real wideband gain factor.
-	shadowDB := m.shadow.at(client)
-	h.Scale(math.Pow(10, shadowDB/20))
-}
-
-// responseCached evaluates the response through the coherence cache: a
-// whole-matrix copy on an epoch hit, otherwise one of the two batched
-// kernel strategies (kernel.go) followed by the same path-order summation
-// as the uncached path. See respCache for the bit-identity argument.
-func (m *Model) responseCached(client geom.Point, h *csi.Matrix) {
 	c := &m.cache
 	nPaths := len(m.paths)
 	nSub := m.cfg.Subcarriers
 	nPairs := m.cfg.NTx * m.cfg.NRx
-
 	if c.resp == nil {
 		c.resp = csi.NewMatrix(nSub, m.cfg.NTx, m.cfg.NRx)
 	}
@@ -485,13 +400,23 @@ func (m *Model) responseCached(client geom.Point, h *csi.Matrix) {
 			c.pref = make([]complex128, nPairs*nSub)
 		}
 		c.epochValid = false
-		c.prefValid = false
+		c.prefLen = 0
 	}
 
-	if c.epochValid && client == c.client && c.sameGeometry(m.paths) {
+	// first is the lowest path whose epoch key changed: 0 when the client
+	// moved or there is no epoch yet, nPaths when nothing changed. An
+	// unchanged via and gain with an unchanged client imply an unchanged
+	// length for every antenna pair (the AP never moves).
+	first := 0
+	if c.epochValid && client == c.client {
+		for first < nPaths && m.paths[first].via == c.vias[first] && m.paths[first].gain == c.gains[first] {
+			first++
+		}
+	}
+	if first == nPaths {
 		c.hits++
 		copy(h.Data(), c.resp.Data())
-		return
+		return h
 	}
 	c.misses++
 
@@ -506,11 +431,7 @@ func (m *Model) responseCached(client geom.Point, h *csi.Matrix) {
 		c.shadowOK = true
 	}
 
-	if !c.epochValid || client != c.client {
-		m.evalDirect(client, h)
-	} else {
-		m.evalIncremental(client, h)
-	}
+	m.evalIncremental(client, h, first)
 	if !m.fused {
 		h.Scale(c.shadowScale)
 	}
@@ -523,16 +444,7 @@ func (m *Model) responseCached(client geom.Point, h *csi.Matrix) {
 	}
 	copy(c.resp.Data(), h.Data())
 	c.epochValid = true
-}
-
-// sameGeometry reports whether the paths match the committed epoch key.
-func (c *respCache) sameGeometry(paths []path) bool {
-	for pi, p := range paths {
-		if p.via != c.vias[pi] || p.gain != c.gains[pi] {
-			return false
-		}
-	}
-	return true
+	return h
 }
 
 // Measure returns a noisy PHY observation at time t with a freshly
@@ -549,7 +461,13 @@ func (m *Model) Measure(t float64) Sample {
 //
 //mobilint:hotpath
 func (m *Model) MeasureInto(t float64, h *csi.Matrix) Sample {
-	h = m.ResponseInto(t, h)
+	return m.sample(t, m.ResponseInto(t, h))
+}
+
+// sample turns the noise-free response h at time t into a Sample: it adds
+// CSI estimation noise to h in place and derives the reported RSSI and
+// SNR, drawing from the noise RNG in a fixed order.
+func (m *Model) sample(t float64, h *csi.Matrix) Sample {
 	// Estimation noise relative to the channel's RMS amplitude. The noise
 	// entries are drawn in storage order (sc, tx, rx), which linear
 	// iteration over the backing array preserves.

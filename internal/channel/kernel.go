@@ -8,11 +8,11 @@ import (
 	"mobiwlan/internal/geom"
 )
 
-// This file holds the batched struct-of-arrays response kernel: the two
-// cache-backed evaluation strategies (direct and incremental) that replace
-// the old per-(pair, subcarrier, path) series cache, plus the exact
-// breakpoint power helper. responseUncached in channel.go stays the scalar
-// reference both strategies are tested bit-for-bit against.
+// This file holds the batched struct-of-arrays response kernel: the one
+// cache-backed evaluation, evalIncremental, which ResponseInto runs from
+// first (the lowest path whose epoch key changed), plus the exact
+// breakpoint power helper. The scalar reference every output is tested
+// bit-for-bit against lives in reference_test.go.
 //
 // Layout: all per-path cache state is struct-of-arrays, indexed
 // [pair*nPaths+pi] — the memoized initial phasor (ph0), per-subcarrier
@@ -24,7 +24,7 @@ import (
 // [pair*nSub+sc], which is what lets an environmental step pay only for
 // the moving chains.
 //
-// Both strategies are organised as struct-of-arrays passes: antenna-leg
+// The evaluation is organised as struct-of-arrays passes: antenna-leg
 // distances, then per-path amplitudes, then the gathered breakpoint
 // powers, then the phasor Sincos fill, then the subcarrier chain loop.
 // Splitting the per-path work this way changes no per-value operation —
@@ -35,12 +35,12 @@ import (
 // one path's full pipeline at a time.
 //
 // Bit-identity argument (see DESIGN.md, "Batched SoA response kernel"):
-// the value the uncached reference adds at subcarrier sc for path pi is
+// the value the scalar reference adds at subcarrier sc for path pi is
 // the initial phasor advanced by sc sequential complex multiplies, and the
-// per-subcarrier total is accumulated in path order. Both strategies below
-// preserve exactly that: chains always advance by the same `*=` sequence
-// from the same initial phasor (memoized or recomputed, the value is a
-// pure function of (length, gain) and the fixed config), and every
+// per-subcarrier total is accumulated in path order. The kernel preserves
+// exactly that: chains always advance by the same `*=` sequence from the
+// same initial phasor (memoized or recomputed, the value is a pure
+// function of (length, gain) and the fixed config), and every
 // per-subcarrier sum is seeded with the memoized ordered prefix (itself
 // produced by the same process) and extended in path order. The chain
 // loop retires four subcarriers per pass over the paths, which reorders
@@ -194,83 +194,6 @@ func (m *Model) phasorPass(amps, lens []float64, ph0, rot []complex128, idx []in
 	}
 }
 
-// evalDirect recomputes every path chain: the client moved (or the cache
-// is cold), so every pair's path lengths changed and no per-path state is
-// reusable. The freshly computed (length, ph0, rot) triples are stored
-// into the per-(pair, path) memo so the next incremental call can reuse
-// them, and the prefix memo is invalidated.
-//
-//mobilint:hotpath
-func (m *Model) evalDirect(client geom.Point, h *csi.Matrix) {
-	c := &m.cache
-	nPaths := len(m.paths)
-	nSub := m.cfg.Subcarriers
-	nPairs := m.cfg.NTx * m.cfg.NRx
-	lambdaScale := m.cfg.Wavelength() / (4 * math.Pi)
-	bpActive := m.cfg.PathLossBreakM > 0 && m.cfg.PathLossExponent > 2
-	data := h.Data()
-
-	m.fillLegs(client, 0)
-	// Every path is recomputed, so the pass index set is the identity.
-	idx := m.powIdx[:nPaths]
-	for pi := range idx {
-		idx[pi] = int32(pi)
-	}
-
-	for txi, txOff := range m.apAnts {
-		txPos := m.ap.Add(txOff)
-		legsTx := m.legsTx[txi*nPaths : (txi+1)*nPaths]
-		for rxi, rxOff := range m.clientAnts {
-			rxPos := client.Add(rxOff)
-			legsRx := m.legsRx[rxi*nPaths : (rxi+1)*nPaths]
-			pair := txi*m.cfg.NRx + rxi
-			lens := c.lens[pair*nPaths : (pair+1)*nPaths]
-			ph0 := c.ph0[pair*nPaths : (pair+1)*nPaths]
-			rot := c.rot[pair*nPaths : (pair+1)*nPaths]
-			amps := m.amps[:nPaths]
-
-			// Lengths and base amplitudes.
-			for pi := range m.paths {
-				p := &m.paths[pi]
-				var length float64
-				if p.bounce {
-					length = legsTx[pi] + legsRx[pi]
-				} else {
-					length = txPos.Dist(rxPos)
-				}
-				if length < 0.1 {
-					length = 0.1
-				}
-				lens[pi] = length
-				amps[pi] = p.gain * lambdaScale / length
-			}
-			if bpActive {
-				m.breakpointPass(amps, lens, idx, nPaths)
-			}
-			m.phasorPass(amps, lens, ph0, rot, idx, nPaths)
-
-			if m.fused {
-				// Scatter this pair's chains into the path-major rows the
-				// fused sweep walks; the sweep itself runs after all pairs'
-				// phasors are in place.
-				for pi := 0; pi < nPaths; pi++ {
-					m.contribsP[pi*nPairs+pair] = ph0[pi]
-					m.rotsP[pi*nPairs+pair] = rot[pi]
-				}
-				continue
-			}
-			m.contribs = append(m.contribs[:0], ph0...)
-			chainSweep(data[pair:], m.contribs, rot[:nPaths], nSub, nPairs)
-		}
-	}
-	if m.fused {
-		m.sweepFused(data, c.pref, nSub, nPairs, nPaths, 0, 0, c.shadowScale)
-	}
-	c.pathEvals += uint64(nPairs * nPaths)
-	c.prefValid = false
-	c.prefLen = 0
-}
-
 // sweepFused runs the chain sweep for every antenna pair at once on the
 // path-major scratch, two pair columns per AVX2 kernel call and four
 // subcarriers per pass. Each (subcarrier, pair) cell still receives
@@ -282,9 +205,9 @@ func (m *Model) evalDirect(client geom.Point, h *csi.Matrix) {
 // subcarrier); pref rows use the same sc-major layout when fused.
 //
 // n is the chain-row count, snap the row count whose running sums extend
-// the prefix memo (0 outside incremental calls), seed nonzero to start
-// the sums from the memoized prefix. scale is the shadowing factor the
-// kernel folds into the finished sums (Matrix.Scale's exact per-entry
+// the prefix memo (first - start in evalIncremental), seed nonzero to
+// start the sums from the memoized prefix. scale is the shadowing factor
+// the kernel folds into the finished sums (Matrix.Scale's exact per-entry
 // operation, applied after the unscaled prefix snapshot), replacing the
 // separate whole-matrix Scale pass.
 //
@@ -299,59 +222,10 @@ func (m *Model) sweepFused(out, pref []complex128, nSub, nPairs, n, snap, seed i
 	}
 }
 
-// chainSweep advances every chain in contribs by its rotation across nSub
-// subcarriers, writing the per-subcarrier path-order sums to out[sc*stride].
-// Four subcarriers retire per pass over the chains: each chain value is
-// loaded once, advanced by the same four sequential multiplies the
-// one-subcarrier loop would apply, and stored once, while four
-// accumulators collect the four subcarriers' sums — same multiply
-// sequence per chain, same addition order per subcarrier, a quarter of
-// the chain-state memory traffic, and four independent accumulation
-// chains for the FPU to overlap.
-//
-//mobilint:hotpath
-func chainSweep(out, contribs, rots []complex128, nSub, stride int) {
-	rots = rots[:len(contribs)]
-	idx := 0
-	sc := 0
-	for ; sc+4 <= nSub; sc += 4 {
-		var s0, s1, s2, s3 complex128
-		for pi := range contribs {
-			ci := contribs[pi]
-			r := rots[pi]
-			s0 += ci
-			ci *= r
-			s1 += ci
-			ci *= r
-			s2 += ci
-			ci *= r
-			s3 += ci
-			ci *= r
-			contribs[pi] = ci
-		}
-		out[idx] = s0
-		idx += stride
-		out[idx] = s1
-		idx += stride
-		out[idx] = s2
-		idx += stride
-		out[idx] = s3
-		idx += stride
-	}
-	for ; sc < nSub; sc++ {
-		var sum complex128
-		for pi := range contribs {
-			sum += contribs[pi]
-			contribs[pi] *= rots[pi]
-		}
-		out[idx] = sum
-		idx += stride
-	}
-}
-
-// evalIncremental serves a call where the client is unchanged but some
-// scatterers moved. Paths split at `first`, the lowest index whose epoch
-// key (via position, gain) changed: an unchanged via and gain imply an
+// evalIncremental evaluates the response into h (unscaled by shadowing
+// unless fused) from first, the lowest path whose epoch key (via
+// position, gain) changed since the committed epoch, or 0 when the client
+// moved or there is no epoch. An unchanged via and gain imply an
 // unchanged length for every antenna pair (the client did not move, the
 // AP never does), hence a bit-identical phasor series.
 //
@@ -362,30 +236,22 @@ func chainSweep(out, contribs, rots []complex128, nSub, stride int) {
 //     rot) phasors — no length, breakpoint, or Sincos work — while the
 //     running sum is snapshotted at the `first` boundary to extend the
 //     prefix for the next call.
-//   - Paths [first, nPaths) are re-keyed on (length, gain) exactly like
-//     the old per-path cache: an unchanged key reuses the memoized
-//     phasors, a changed one recomputes and overwrites them.
+//   - Paths [first, nPaths) are re-keyed on (length, gain): an unchanged
+//     key reuses the memoized phasors, a changed one recomputes and
+//     overwrites them. At first = 0 this is every path.
 //
 // The accumulation order over paths is untouched in all three regions, so
 // the output is bit-identical to the scalar reference.
 //
 //mobilint:hotpath
-func (m *Model) evalIncremental(client geom.Point, h *csi.Matrix) {
+func (m *Model) evalIncremental(client geom.Point, h *csi.Matrix, first int) {
 	c := &m.cache
 	nPaths := len(m.paths)
 	nSub := m.cfg.Subcarriers
 	nPairs := m.cfg.NTx * m.cfg.NRx
 
-	first := 0
-	for first < nPaths {
-		p := m.paths[first]
-		if p.via != c.vias[first] || p.gain != c.gains[first] {
-			break
-		}
-		first++
-	}
 	start := 0
-	if c.prefValid && c.prefLen <= first {
+	if c.prefLen <= first {
 		start = c.prefLen
 	}
 
@@ -425,17 +291,15 @@ func (m *Model) evalIncremental(client geom.Point, h *csi.Matrix) {
 				if length < 0.1 {
 					length = 0.1
 				}
-				if length == lens[pi] && p.gain == c.gains[pi] {
-					c.pathReuses++
-				} else {
-					c.pathEvals++
+				if length != lens[pi] || p.gain != c.gains[pi] {
 					lens[pi] = length
 					amps[pi] = p.gain * lambdaScale / length
 					idx[nb] = int32(pi)
 					nb++
 				}
 			}
-			c.pathReuses += uint64(first)
+			c.pathEvals += uint64(nb)
+			c.pathReuses += uint64(nPaths - nb)
 			if bpActive {
 				m.breakpointPass(amps, lens, idx, nb)
 			}
@@ -451,13 +315,8 @@ func (m *Model) evalIncremental(client geom.Point, h *csi.Matrix) {
 				}
 				continue
 			}
-			m.contribs = m.contribs[:0]
-			m.rots = m.rots[:0]
-			for pi := start; pi < nPaths; pi++ {
-				m.contribs = append(m.contribs, ph0[pi])
-				m.rots = append(m.rots, rot[pi])
-			}
-			chainSweepPrefixed(data[pair:], pref, m.contribs, m.rots,
+			m.contribs = append(m.contribs[:0], ph0[start:nPaths]...)
+			chainSweepPrefixed(data[pair:], pref, m.contribs, rot[start:nPaths],
 				nSub, nPairs, start, first-start)
 		}
 	}
@@ -469,17 +328,25 @@ func (m *Model) evalIncremental(client geom.Point, h *csi.Matrix) {
 		m.sweepFused(data, c.pref, nSub, nPairs, nPaths-start, first-start, seed, c.shadowScale)
 	}
 	c.prefLen = first
-	c.prefValid = true
 }
 
-// chainSweepPrefixed is chainSweep with prefix seeding: each subcarrier's
-// accumulator starts from the memoized ordered prefix (when start > 0),
-// runs the first snap chains and snapshots the extended prefix at that
-// boundary, then finishes with the remaining chains. Same four-subcarrier
-// retirement as chainSweep; the snapshot values are exactly the sums the
-// one-subcarrier loop would snapshot. When snap is 0 the prefix is
-// already exactly pref's contents, so the (bit-identical) store is
-// skipped.
+// chainSweepPrefixed advances every chain in contribs by its rotation
+// across nSub subcarriers, writing the per-subcarrier path-order sums to
+// out[sc*stride]. Each subcarrier's accumulator starts from the memoized
+// ordered prefix (when start > 0), runs the first snap chains and
+// snapshots the extended prefix at that boundary, then finishes with the
+// remaining chains. When snap is 0 the prefix is already exactly pref's
+// contents, so the (bit-identical) store is skipped.
+//
+// Four subcarriers retire per pass over the chains: each chain value is
+// loaded once, advanced by the same four sequential multiplies the
+// one-subcarrier loop would apply, and stored once, while four
+// accumulators collect the four subcarriers' sums — same multiply
+// sequence per chain, same addition order per subcarrier (so the
+// snapshot values are exactly the sums the one-subcarrier loop would
+// snapshot), a quarter of the chain-state memory traffic, and four
+// independent accumulation chains for the FPU to overlap. rots is only
+// read.
 //
 //mobilint:hotpath
 func chainSweepPrefixed(out, pref, contribs, rots []complex128, nSub, stride, start, snap int) {

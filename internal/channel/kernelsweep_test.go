@@ -11,12 +11,11 @@ import (
 )
 
 // This file is the kernel-equivalence configuration sweep: the batched
-// struct-of-arrays strategies (fused AVX2 sweep where eligible, the Go
-// chain sweep otherwise) are asserted bit-identical to the scalar
-// responseUncached reference across a grid of channel shapes — path
-// counts, subcarrier counts, antenna geometries and both sides of the
-// breakpoint path-loss branch — not just the default 52x3x2 shape the
-// golden traces pin.
+// struct-of-arrays kernel (fused AVX2 sweep where eligible, the Go chain
+// sweep otherwise) is asserted bit-identical to the scalar referenceInto
+// across a grid of channel shapes — path counts, subcarrier counts,
+// antenna geometries and both sides of the breakpoint path-loss branch —
+// not just the default 52x3x2 shape the golden traces pin.
 
 // sweepShape is one (subcarriers, NTx, NRx) point. The grid mixes
 // fused-eligible shapes (even NTx*NRx, subcarriers % 4 == 0) with shapes
@@ -37,20 +36,22 @@ type sweepLoss struct {
 	breakM   float64
 }
 
-// TestKernelEquivalenceSweep runs every (shape x scene x loss) cell —
-// 90 seeded configurations — through a repeated-and-advancing time
-// series and asserts three models agree bit-for-bit at every step:
+// TestKernelEquivalenceSweep runs every (shape x scene x loss x mode)
+// cell — 162 seeded configurations — through a repeated-and-advancing
+// time series and asserts three models agree bit-for-bit at every step:
 //
-//   - uncached: the scalar per-call reference (DisableCache)
+//   - uncached: the scalar per-call referenceInto
 //   - cached: the batched kernel as built (fused on capable hardware)
 //   - fallback: the batched kernel with the fused sweep forced off,
 //     so the AVX2 kernel and the Go chain sweep are compared against
 //     each other on every fused-eligible cell, not just against the
 //     reference
 //
-// Modes rotate per cell so the series exercises evalDirect (client
-// motion), evalIncremental (scatterer-only motion) and the epoch fast
-// path (repeated timestamps) across the whole grid.
+// Every shape x scene x loss cell runs in all three modes, so each one
+// sees both regimes of the kernel's first index: a moving client
+// (macro, micro: first = 0, every path re-keyed) and scatterer-only
+// motion (environmental: first > 0, the memoized prefix seeds the sums),
+// plus the epoch fast path on repeated timestamps.
 func TestKernelEquivalenceSweep(t *testing.T) {
 	shapes := []sweepShape{
 		{52, 3, 2}, // paper default: fused (6 pairs, 52 = 4*13)
@@ -78,44 +79,45 @@ func TestKernelEquivalenceSweep(t *testing.T) {
 	for si, shape := range shapes {
 		for ci, scene := range scenes {
 			for li, loss := range losses {
-				cfg := DefaultConfig()
-				cfg.Subcarriers = shape.sub
-				cfg.NTx, cfg.NRx = shape.ntx, shape.nrx
-				cfg.PathLossExponent = loss.exponent
-				cfg.PathLossBreakM = loss.breakM
+				for _, mode := range modes {
+					cfg := DefaultConfig()
+					cfg.Subcarriers = shape.sub
+					cfg.NTx, cfg.NRx = shape.ntx, shape.nrx
+					cfg.PathLossExponent = loss.exponent
+					cfg.PathLossBreakM = loss.breakM
 
-				scfg := mobility.DefaultSceneConfig()
-				scfg.StaticScatterers = scene.static
-				scfg.MovingScatterers = scene.moving
+					scfg := mobility.DefaultSceneConfig()
+					scfg.StaticScatterers = scene.static
+					scfg.MovingScatterers = scene.moving
 
-				mode := modes[(si+ci+li)%len(modes)]
-				seed := uint64(1000*si + 100*ci + 10*li)
-				build := func(rng *stats.RNG) *mobility.Scenario {
-					return mobility.NewScenario(mode, scfg, rng)
-				}
-				cached, uncached := cachedAndUncached(cfg, build, seed)
-				fallback := New(cfg, build(stats.NewRNG(seed)), stats.NewRNG(seed+1000))
-				fallback.fused = false
+					seed := uint64(1000*si + 100*ci + 10*li)
+					build := func(rng *stats.RNG) *mobility.Scenario {
+						return mobility.NewScenario(mode, scfg, rng)
+					}
+					cached, uncached := cachedAndUncached(cfg, build, seed)
+					fallback := New(cfg, build(stats.NewRNG(seed)), stats.NewRNG(seed+1000))
+					fallback.fused = false
 
-				nConfigs++
-				if cached.fused {
-					nFused++
-				}
-				cell := fmt.Sprintf("%dx%dx%d/%d+%d/%s/%v",
-					shape.sub, shape.ntx, shape.nrx, scene.static, scene.moving, loss.name, mode)
-				var hc, hu, hf *csi.Matrix
-				for _, tt := range times {
-					hc = cached.ResponseInto(tt, hc)
-					hu = uncached.ResponseInto(tt, hu)
-					hf = fallback.ResponseInto(tt, hf)
-					requireSameBits(t, cell+" cached-vs-uncached", tt, hc, hu)
-					requireSameBits(t, cell+" fallback-vs-uncached", tt, hf, hu)
+					nConfigs++
+					if cached.fused {
+						nFused++
+					}
+					cell := fmt.Sprintf("%dx%dx%d/%d+%d/%s/%v",
+						shape.sub, shape.ntx, shape.nrx, scene.static, scene.moving, loss.name, mode)
+					var hc, hu, hf *csi.Matrix
+					for _, tt := range times {
+						hc = cached.ResponseInto(tt, hc)
+						hu = uncached.referenceInto(tt, hu)
+						hf = fallback.ResponseInto(tt, hf)
+						requireSameBits(t, cell+" cached-vs-uncached", tt, hc, hu)
+						requireSameBits(t, cell+" fallback-vs-uncached", tt, hf, hu)
+					}
 				}
 			}
 		}
 	}
-	if nConfigs < 50 {
-		t.Fatalf("sweep covers %d configurations, want >= 50", nConfigs)
+	if nConfigs < 150 {
+		t.Fatalf("sweep covers %d configurations, want >= 150", nConfigs)
 	}
 	if fusedSweepOK && nFused == 0 {
 		t.Fatal("AVX2 is available but no sweep cell exercised the fused kernel")

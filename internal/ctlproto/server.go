@@ -128,12 +128,11 @@ type outMsg struct {
 // conservation counters are atomics because the reader increments
 // received/dropped while shards increment processed.
 type apSession struct {
-	id      string
-	version int
-	conn    net.Conn
-	out     chan outMsg
-	closed  chan struct{}
-	once    sync.Once
+	id     string
+	conn   net.Conn
+	out    chan outMsg
+	closed chan struct{}
+	once   sync.Once
 
 	received  atomic.Uint64
 	processed atomic.Uint64
@@ -451,11 +450,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.metrics().observeRx(TypeHello)
 	s.metrics().observeSession(hello.APID)
 	sess := &apSession{
-		id:      hello.APID,
-		version: hello.Version,
-		conn:    conn,
-		out:     make(chan outMsg, s.cfg.SendQueueDepth),
-		closed:  make(chan struct{}),
+		id:     hello.APID,
+		conn:   conn,
+		out:    make(chan outMsg, s.cfg.SendQueueDepth),
+		closed: make(chan struct{}),
 	}
 	s.register(sess)
 	defer s.unregister(sess)

@@ -166,8 +166,8 @@ func renderKV(title string, rows [][2]string) string {
 	return b.String()
 }
 
-// medianOf returns the median of a map's values by sorted key order —
-// helper for deterministic notes.
+// sortedKeys returns a map's keys in ascending order, so notes built
+// from a map iterate deterministically.
 func sortedKeys[K ~string, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {

@@ -68,9 +68,8 @@ func typeName(ctx *Context, t types.Type) string {
 }
 
 var goCaptureCheck = &Check{
-	Name:    "go-capture",
-	Default: true,
-	Doc:     "goroutines in protocol/worker packages must not capture a shared conn/session; pass it as an argument or guard it with a mutex",
+	Name: "go-capture",
+	Doc:  "goroutines in protocol/worker packages must not capture a shared conn/session; pass it as an argument or guard it with a mutex",
 	Run: func(ctx *Context) {
 		if !ctx.InConcurrency() {
 			return
@@ -112,9 +111,8 @@ var goCaptureCheck = &Check{
 }
 
 var modelCaptureCheck = &Check{
-	Name:    "model-capture",
-	Default: true,
-	Doc:     "goroutines must not capture a channel.Model or a lock-free struct holding one; the model's response cache is single-owner state, so pass it as an argument or build it inside the goroutine",
+	Name: "model-capture",
+	Doc:  "goroutines must not capture a channel.Model or a lock-free struct holding one; the model's response cache is single-owner state, so pass it as an argument or build it inside the goroutine",
 	Run: func(ctx *Context) {
 		for _, file := range ctx.Pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {

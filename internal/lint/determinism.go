@@ -19,9 +19,8 @@ var bannedTimeFuncs = map[string]bool{
 }
 
 var timeNowCheck = &Check{
-	Name:    "time-now",
-	Default: true,
-	Doc:     "simulation code must not read the wall clock; results must be a pure function of the experiment seed",
+	Name: "time-now",
+	Doc:  "simulation code must not read the wall clock; results must be a pure function of the experiment seed",
 	Run: func(ctx *Context) {
 		if !ctx.InDeterminism() {
 			return
@@ -48,9 +47,8 @@ func isMathRand(pkgPath string) bool {
 }
 
 var mathRandCheck = &Check{
-	Name:    "math-rand",
-	Default: true,
-	Doc:     "simulation code must draw randomness from the seeded stats.RNG, never from math/rand",
+	Name: "math-rand",
+	Doc:  "simulation code must draw randomness from the seeded stats.RNG, never from math/rand",
 	Run: func(ctx *Context) {
 		if !ctx.InDeterminism() {
 			return
@@ -77,9 +75,8 @@ var rngConstructors = map[string]bool{
 }
 
 var unseededRNGCheck = &Check{
-	Name:    "unseeded-rng",
-	Default: true,
-	Doc:     "random generators are constructed only in internal/stats, so every stream is reachable from one experiment seed",
+	Name: "unseeded-rng",
+	Doc:  "random generators are constructed only in internal/stats, so every stream is reachable from one experiment seed",
 	Run: func(ctx *Context) {
 		if ctx.RNGAllowed() {
 			return
@@ -101,9 +98,8 @@ var unseededRNGCheck = &Check{
 }
 
 var mapOrderCheck = &Check{
-	Name:    "map-order",
-	Default: true,
-	Doc:     "map iteration that appends to a slice or writes output must sort; Go randomizes map order per run",
+	Name: "map-order",
+	Doc:  "map iteration that appends to a slice or writes output must sort; Go randomizes map order per run",
 	Run: func(ctx *Context) {
 		if !ctx.InDeterminism() {
 			return

@@ -9,9 +9,8 @@ import "strings"
 // invisible there. The check reports the package clause of the first
 // file (alphabetical order) so the finding has a stable position.
 var pkgDocCheck = &Check{
-	Name:    "pkg-doc",
-	Default: true,
-	Doc:     "every package must have a package doc comment on one of its files",
+	Name: "pkg-doc",
+	Doc:  "every package must have a package doc comment on one of its files",
 	Run: func(ctx *Context) {
 		if len(ctx.Pkg.Files) == 0 {
 			return

@@ -19,9 +19,8 @@ func isErrorType(t types.Type) bool {
 }
 
 var discardedErrorCheck = &Check{
-	Name:    "discarded-error",
-	Default: true,
-	Doc:     "a call whose error result is silently dropped hides failures; handle it or assign to _ explicitly",
+	Name: "discarded-error",
+	Doc:  "a call whose error result is silently dropped hides failures; handle it or assign to _ explicitly",
 	Run: func(ctx *Context) {
 		for _, file := range ctx.Pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
@@ -121,9 +120,8 @@ func callName(call *ast.CallExpr) string {
 }
 
 var errorfWrapCheck = &Check{
-	Name:    "errorf-wrap",
-	Default: true,
-	Doc:     "fmt.Errorf with an error operand must use %w so errors.Is/As can unwrap the chain",
+	Name: "errorf-wrap",
+	Doc:  "fmt.Errorf with an error operand must use %w so errors.Is/As can unwrap the chain",
 	Run: func(ctx *Context) {
 		for _, file := range ctx.Pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {

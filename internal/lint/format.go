@@ -5,15 +5,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 // Machine-readable output and the committed-baseline mechanism:
-// `mobilint -format json` is what CI uploads as an artifact, `-format
-// sarif` is what code-hosting UIs ingest for inline PR annotations,
-// and `-baseline lint_baseline.json` lets a future check land
-// warn-first: known findings are recorded in the baseline (kept empty
-// at merge on this repo) and only new ones fail the gate.
+// `mobilint -format json` is what CI uploads as an artifact, and
+// `-baseline lint_baseline.json` lets a future check land warn-first:
+// known findings are recorded in the baseline (kept empty at merge on
+// this repo) and only new ones fail the gate.
 
 // jsonFinding is one finding in -format json output.
 type jsonFinding struct {
@@ -44,99 +42,6 @@ func WriteJSON(w io.Writer, findings []Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// SARIF 2.1.0 skeleton, minimal but schema-valid: one run, one rule
-// per registered check, one result per finding.
-
-type sarifLog struct {
-	Version string     `json:"version"`
-	Schema  string     `json:"$schema"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID        string    `json:"id"`
-	ShortDesc sarifText `json:"shortDescription"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// WriteSARIF renders findings as SARIF 2.1.0 for PR annotation
-// tooling.
-func WriteSARIF(w io.Writer, findings []Finding) error {
-	run := sarifRun{
-		Tool:    sarifTool{Driver: sarifDriver{Name: "mobilint"}},
-		Results: []sarifResult{},
-	}
-	for _, c := range Checks {
-		run.Tool.Driver.Rules = append(run.Tool.Driver.Rules, sarifRule{
-			ID: c.Name, ShortDesc: sarifText{Text: c.Doc},
-		})
-	}
-	sort.Slice(run.Tool.Driver.Rules, func(i, j int) bool {
-		return run.Tool.Driver.Rules[i].ID < run.Tool.Driver.Rules[j].ID
-	})
-	for _, f := range findings {
-		run.Results = append(run.Results, sarifResult{
-			RuleID:  f.Check,
-			Level:   "error",
-			Message: sarifText{Text: f.Message},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: f.Pos.Filename},
-				Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
-			}}},
-		})
-	}
-	log := sarifLog{
-		Version: "2.1.0",
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Runs:    []sarifRun{run},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }
 
 // Baseline is a committed set of known findings a gate tolerates.

@@ -37,9 +37,8 @@ import (
 //     builtin slices, mutex lock/unlock)
 
 var hotpathCheck = &Check{
-	Name:    "hotpath-alloc",
-	Doc:     "//mobilint:hotpath functions must not reach an allocating construct on any static call path",
-	Default: true,
+	Name: "hotpath-alloc",
+	Doc:  "//mobilint:hotpath functions must not reach an allocating construct on any static call path",
 	RunModule: func(mctx *ModuleContext) {
 		newHotpathPass(mctx).run()
 	},

@@ -77,9 +77,6 @@ type Check struct {
 	Name string
 	// Doc is the one-line rationale shown by mobilint -list.
 	Doc string
-	// Default reports whether the check runs when no -checks subset is
-	// given; mobilint -list shows it.
-	Default bool
 	// Run reports the check's findings for ctx.Pkg.
 	Run func(ctx *Context)
 	// RunModule reports findings over the module-wide Program; it runs
@@ -326,14 +323,9 @@ func Run(cfg Config) ([]Finding, error) {
 	}
 	cfg.applyDefaults(modPath)
 
-	var enabled []*Check
-	if len(cfg.Checks) == 0 {
-		for _, c := range Checks {
-			if c.Default {
-				enabled = append(enabled, c)
-			}
-		}
-	} else {
+	enabled := Checks
+	if len(cfg.Checks) > 0 {
+		enabled = nil
 		for _, name := range cfg.Checks {
 			c := checkByName(name)
 			if c == nil {

@@ -36,9 +36,8 @@ import (
 // backstop.
 
 var rngSplitCheck = &Check{
-	Name:    "rng-split",
-	Doc:     "*stats.RNG handles must be Split before crossing a goroutine or worker-pool boundary",
-	Default: true,
+	Name: "rng-split",
+	Doc:  "*stats.RNG handles must be Split before crossing a goroutine or worker-pool boundary",
 	RunModule: func(mctx *ModuleContext) {
 		newRngPass(mctx).run()
 	},

@@ -18,9 +18,8 @@ import (
 // printer).
 
 var stdoutPurityCheck = &Check{
-	Name:    "stdout-purity",
-	Doc:     "only //mobilint:stdout-annotated writers may touch os.Stdout or fmt.Print*; diagnostics go to stderr",
-	Default: true,
+	Name: "stdout-purity",
+	Doc:  "only //mobilint:stdout-annotated writers may touch os.Stdout or fmt.Print*; diagnostics go to stderr",
 	Run: func(ctx *Context) {
 		ann := ctx.Pkg.annotations()
 		for _, file := range ctx.Pkg.Files {

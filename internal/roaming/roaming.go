@@ -321,7 +321,6 @@ func (r *Runner) Run(scen *mobility.Scenario, pol Policy, seed uint64) Result {
 	meter := tof.NewMeter(tof.DefaultConfig(), rng.Split(777))
 	trends := make([]*tof.TrendDetector, nAP)
 	filters := make([]*stats.MedianFilter, nAP)
-	lastMedian := make([]float64, nAP)
 	for i := range trends {
 		trends[i] = tof.NewTrendDetector(3, 0, 0.8)
 		filters[i] = &stats.MedianFilter{}
@@ -368,7 +367,6 @@ func (r *Runner) Run(scen *mobility.Scenario, pol Policy, seed uint64) Result {
 			lastFlush = t
 			for i := range links {
 				if med, ok := filters[i].Flush(); ok {
-					lastMedian[i] = med
 					trends[i].Push(med)
 				}
 			}

@@ -10,6 +10,7 @@
 package mobiwlan
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -426,6 +427,40 @@ func BenchmarkCtlDeltaDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := dec.Apply("ap1", &entries[i%len(entries)], &out); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCtlFrameRoundTrip measures the wire path of one 64-entry
+// report batch: WriteMsg into a buffer, then ReadMsg and DecodePayload.
+// It is not in cmd/benchstatus's gated set.
+func BenchmarkCtlFrameRoundTrip(b *testing.B) {
+	reps := ctlBenchReports()
+	enc := ctlproto.BatchEncoder{APID: "ap1", SnapshotEvery: 16}
+	var batch ctlproto.ReportBatch
+	for i := 0; i < 512+64; i++ { // a warm encoder: snapshots and deltas
+		if err := enc.Add(&reps[i]); err != nil {
+			b.Fatal(err)
+		}
+		if enc.Len() == 64 {
+			enc.Flush(&batch)
+		}
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := ctlproto.WriteMsg(&buf, ctlproto.TypeReportBatch, &batch); err != nil {
+			b.Fatal(err)
+		}
+		env, err := ctlproto.ReadMsg(&buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, err := ctlproto.DecodePayload[ctlproto.ReportBatch](env)
+		if err != nil || len(got.Entries) != 64 {
+			b.Fatalf("decoded %d entries, %v", len(got.Entries), err)
 		}
 	}
 }

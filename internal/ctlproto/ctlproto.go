@@ -18,11 +18,13 @@
 package ctlproto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"unicode/utf8"
 
 	"mobiwlan/internal/core"
 )
@@ -179,29 +181,46 @@ type Envelope struct {
 // maxMessage bounds a single message (sanity limit).
 const maxMessage = 1 << 20
 
-// WriteMsg frames and writes one message.
+// envTypeKey and envPayloadKey frame the envelope as WriteMsg writes it
+// and splitEnvelope reads it. WriteMsg's output is byte for byte
+// json.Marshal(Envelope{msgType, json.Marshal(payload)}): json.Marshal's
+// output is already compact and HTML-escaped, so re-compacting it as a
+// RawMessage changes nothing.
+const (
+	envTypeKey    = `{"type":`
+	envPayloadKey = `,"payload":`
+)
+
+// WriteMsg frames one message and writes it with a single Write. A
+// msgType that is not valid UTF-8 is rejected: JSON would carry it to
+// the peer as a different string.
 func WriteMsg(w io.Writer, msgType string, payload any) error {
+	if !utf8.ValidString(msgType) {
+		return fmt.Errorf("ctlproto: message type %q is not valid UTF-8", msgType)
+	}
+	typ, _ := json.Marshal(msgType) // marshaling a string cannot fail
 	raw, err := json.Marshal(payload)
 	if err != nil {
 		return fmt.Errorf("ctlproto: marshaling %s: %w", msgType, err)
 	}
-	env, err := json.Marshal(Envelope{Type: msgType, Payload: raw})
-	if err != nil {
-		return fmt.Errorf("ctlproto: marshaling envelope: %w", err)
+	n := len(envTypeKey) + len(typ) + len(envPayloadKey) + len(raw) + 1
+	if n > maxMessage {
+		return fmt.Errorf("ctlproto: message of %d bytes exceeds limit", n)
 	}
-	if len(env) > maxMessage {
-		return fmt.Errorf("ctlproto: message of %d bytes exceeds limit", len(env))
-	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(env)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(env)
+	buf := make([]byte, 4, 4+n)
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	buf = append(buf, envTypeKey...)
+	buf = append(buf, typ...)
+	buf = append(buf, envPayloadKey...)
+	buf = append(buf, raw...)
+	buf = append(buf, '}')
+	_, err = w.Write(buf)
 	return err
 }
 
-// ReadMsg reads one framed message.
+// ReadMsg reads one framed message. It reads the frame with two
+// io.ReadFull calls, so a caller reading a socket should hand it a
+// bufio.Reader.
 func ReadMsg(r io.Reader) (Envelope, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -215,12 +234,46 @@ func ReadMsg(r io.Reader) (Envelope, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return Envelope{}, err
 	}
+	if env, ok := splitEnvelope(buf); ok {
+		return env, nil
+	}
 	var env Envelope
 	if err := json.Unmarshal(buf, &env); err != nil {
 		return Envelope{}, fmt.Errorf("ctlproto: decoding envelope: %w", err)
 	}
 	return env, nil
 }
+
+// splitEnvelope decodes a body of exactly the shape WriteMsg writes,
+// {"type":"T","payload":P}, with T printable ASCII free of '"' and '\'
+// and P one valid JSON value with no surrounding whitespace. Such a body
+// is an object with exactly those two keys, so json.Unmarshal would
+// return the same Envelope; FuzzReadMsgSplit checks that. Every other
+// body reports false and goes to json.Unmarshal. Payload aliases body,
+// which the caller must not reuse.
+func splitEnvelope(body []byte) (Envelope, bool) {
+	rest, ok := bytes.CutPrefix(body, []byte(envTypeKey+`"`))
+	if !ok {
+		return Envelope{}, false
+	}
+	end := 0
+	for end < len(rest) && rest[end] >= 0x20 && rest[end] < 0x7f && rest[end] != '"' && rest[end] != '\\' {
+		end++
+	}
+	typ := rest[:end]
+	p, ok := bytes.CutPrefix(rest[end:], []byte(`"`+envPayloadKey))
+	if !ok {
+		return Envelope{}, false
+	}
+	p, ok = bytes.CutSuffix(p, []byte("}"))
+	if !ok || len(p) == 0 || isSpace(p[0]) || isSpace(p[len(p)-1]) || !json.Valid(p) {
+		return Envelope{}, false
+	}
+	return Envelope{Type: string(typ), Payload: p}, true
+}
+
+// isSpace reports JSON insignificant whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // DecodePayload unmarshals an envelope payload into out.
 func DecodePayload[T any](env Envelope) (T, error) {

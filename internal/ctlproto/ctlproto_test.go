@@ -2,7 +2,13 @@ package ctlproto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -221,28 +227,55 @@ func TestEndToEndOverTCP(t *testing.T) {
 }
 
 func TestServerRejectsNoHello(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", NewCoordinator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	var mu sync.Mutex
-	var logs []string
-	srv.Logf = func(f string, a ...any) { mu.Lock(); logs = append(logs, f); mu.Unlock() }
+	for _, tc := range []struct {
+		name    string
+		typ     string
+		payload any
+		log     string
+	}{
+		{"report first", TypeMobilityReport, MobilityReport{APID: "ap1", Client: "c1", Time: 1},
+			`connection without hello: first message is "mobility-report"`},
+		{"empty hello id", TypeHello, Hello{Version: ProtoVersion}, "bad hello: ap_id of 0 bytes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := NewServer("127.0.0.1:0", NewCoordinator())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			var mu sync.Mutex
+			var logs []string
+			srv.Logf = func(format string, args ...any) {
+				mu.Lock()
+				logs = append(logs, fmt.Sprintf(format, args...))
+				mu.Unlock()
+			}
 
-	// Raw dial, send a non-hello first message.
-	conn, err := Dial(srv.Addr(), "") // empty APID is rejected server-side
-	if err != nil {
-		t.Fatal(err)
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := WriteMsg(conn, tc.typ, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			// The server hangs up without answering.
+			if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+				t.Fatalf("read after the first frame = %d bytes, %v; want EOF", n, err)
+			}
+			if got := srv.APs(); len(got) != 0 {
+				t.Fatalf("AP registered: %v", got)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if !strings.Contains(strings.Join(logs, "\n"), tc.log) {
+				t.Fatalf("logs %q do not contain %q", logs, tc.log)
+			}
+		})
 	}
-	defer conn.Close()
-	time.Sleep(50 * time.Millisecond)
-	if got := srv.APs(); len(got) != 0 {
-		t.Fatalf("empty-ID AP registered: %v", got)
-	}
-	mu.Lock()
-	_ = strings.Join(logs, "") // logs are advisory
-	mu.Unlock()
 }
 
 func TestServerCloseUnblocksClients(t *testing.T) {
@@ -293,5 +326,119 @@ func TestWriteReadRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// typedSamples is one message of every type, as the controller and its
+// APs send them.
+var typedSamples = []struct {
+	typ     string
+	payload any
+}{
+	{TypeHello, Hello{APID: "ap1", Version: ProtoVersion}},
+	{TypeMobilityReport, MobilityReport{APID: "ap1", Client: "c1", State: core.StateMacroAway, Time: 1.5, RSSIdBm: -60.25}},
+	{TypeMeasureRequest, MeasureRequest{Client: "c1", Time: 1.5}},
+	{TypeMeasureReport, MeasureReport{APID: "ap2", Client: "c1", RSSIdBm: -55, Approaching: true, Time: 1.5}},
+	{TypeRoamDirective, &RoamDirective{Client: "c1", ServingAP: "ap1", Candidates: []string{"ap2", "ap3"}, Time: 1.5}},
+	{TypeReportBatch, &ReportBatch{APID: "ap1", Seq: 7, Entries: []BatchEntry{
+		{Client: "c1", Snap: true, S: 4, T: 1_500_000, R: -6025},
+		{Client: "c1", T: 250_000, R: 25},
+	}}},
+}
+
+// envelopeFrame is the reference framing WriteMsg must match byte for
+// byte: the payload marshalled, then marshalled again inside an
+// Envelope, behind a 4-byte length.
+func envelopeFrame(msgType string, payload any) ([]byte, error) {
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		return nil, err
+	}
+	env, err := json.Marshal(Envelope{Type: msgType, Payload: raw})
+	if err != nil {
+		return nil, err
+	}
+	if len(env) > maxMessage {
+		return nil, fmt.Errorf("message of %d bytes exceeds limit", len(env))
+	}
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(env))), env...), nil
+}
+
+func TestWriteMsgMatchesEnvelopeMarshal(t *testing.T) {
+	type row struct {
+		name    string
+		typ     string
+		payload any
+		tooBig  bool
+	}
+	// A string payload's frame is this long plus the string's length.
+	overhead := len(`{"type":"hello","payload":""}`)
+	rows := []row{
+		{name: "HTML and line separators", typ: TypeMobilityReport,
+			payload: MobilityReport{APID: "<ap&1>", Client: "c\u2028\u2029"}},
+		{name: "non-ASCII ids", typ: TypeHello, payload: Hello{APID: "ap-é-東京-\U0001F4E1"}},
+		{name: "nil payload, empty type", typ: "", payload: nil},
+		{name: "raw payload", typ: TypeMeasureRequest, payload: json.RawMessage(` {"client" : "<c1>"} `)},
+		{name: "largest accepted", typ: TypeHello, payload: strings.Repeat("a", maxMessage-overhead)},
+		{name: "one byte over", typ: TypeHello, payload: strings.Repeat("a", maxMessage-overhead+1), tooBig: true},
+	}
+	for _, m := range typedSamples {
+		rows = append(rows, row{name: m.typ, typ: m.typ, payload: m.payload})
+	}
+	for _, r := range rows {
+		want, wantErr := envelopeFrame(r.typ, r.payload)
+		var got bytes.Buffer
+		err := WriteMsg(&got, r.typ, r.payload)
+		if (err != nil) != r.tooBig || (wantErr != nil) != r.tooBig {
+			t.Fatalf("%s: WriteMsg error %v, envelope error %v, want an error: %v", r.name, err, wantErr, r.tooBig)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s: WriteMsg wrote\n%.200q\nwant\n%.200q", r.name, got.Bytes(), want)
+		}
+	}
+}
+
+// writeCounter counts the Write calls made on it.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+func TestWriteMsgOneWrite(t *testing.T) {
+	var w writeCounter
+	for i, m := range typedSamples {
+		if err := WriteMsg(&w, m.typ, m.payload); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != i+1 {
+			t.Fatalf("%s: %d writes for %d frames", m.typ, w.writes, i+1)
+		}
+	}
+	for _, bad := range []struct {
+		name    string
+		typ     string
+		payload any
+	}{
+		{"oversize", TypeHello, strings.Repeat("a", maxMessage)},
+		{"type not UTF-8", "\xe4", Hello{APID: "ap1"}},
+		{"payload not JSON", TypeMeasureReport, MeasureReport{RSSIdBm: math.NaN()}},
+	} {
+		before := w.writes
+		if err := WriteMsg(&w, bad.typ, bad.payload); err == nil {
+			t.Fatalf("%s: WriteMsg accepted the frame", bad.name)
+		}
+		if w.writes != before {
+			t.Fatalf("%s: rejected frame made %d writes", bad.name, w.writes-before)
+		}
+	}
+	for _, m := range typedSamples {
+		if env, err := ReadMsg(&w.Buffer); err != nil || env.Type != m.typ {
+			t.Fatalf("read back %q, %v; want %s", env.Type, err, m.typ)
+		}
 	}
 }

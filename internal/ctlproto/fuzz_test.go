@@ -2,8 +2,11 @@ package ctlproto
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"reflect"
 	"testing"
+	"unicode/utf8"
 )
 
 // frame builds one valid wire message for the seed corpus.
@@ -168,7 +171,9 @@ func FuzzDeltaDecode(f *testing.F) {
 
 // FuzzReadMsgRoundTrip drives the framing layer itself: any message
 // written by WriteMsg must read back as the same type and payload,
-// consuming the buffer exactly.
+// consuming the buffer exactly. WriteMsg rejects a type that is not
+// valid UTF-8; payload strings follow JSON's contract, which carries
+// each invalid byte as U+FFFD.
 func FuzzReadMsgRoundTrip(f *testing.F) {
 	f.Add("hello", "ap1")
 	f.Add("measure-request", "c1")
@@ -179,7 +184,14 @@ func FuzzReadMsgRoundTrip(f *testing.F) {
 			V string `json:"v"`
 		}
 		var b bytes.Buffer
-		if err := WriteMsg(&b, msgType, raw{V: field}); err != nil {
+		err := WriteMsg(&b, msgType, raw{V: field})
+		if !utf8.ValidString(msgType) {
+			if err == nil {
+				t.Fatalf("type %q is not valid UTF-8 but was written", msgType)
+			}
+			return
+		}
+		if err != nil {
 			return // e.g. over the size limit: rejected, not panicked
 		}
 		env, err := ReadMsg(&b)
@@ -193,11 +205,57 @@ func FuzzReadMsgRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip payload: %v", err)
 		}
-		if got.V != field {
-			t.Fatalf("round trip payload %q != %q", got.V, field)
+		if want := string([]rune(field)); got.V != want {
+			t.Fatalf("round trip payload %q != %q", got.V, want)
 		}
 		if b.Len() != 0 {
 			t.Fatalf("%d trailing bytes after one frame", b.Len())
+		}
+	})
+}
+
+// FuzzReadMsgSplit checks ReadMsg's fast path against the decoder it
+// stands in for: every body splitEnvelope accepts must give the
+// Envelope json.Unmarshal gives. The seeds hold a frame of every
+// message type, each of which must take the split, and near misses that
+// must not: skipping json.Valid fails on the trailing duplicate type
+// and the truncated payload, and accepting '\' in the type fails on
+// the escaped type.
+func FuzzReadMsgSplit(f *testing.F) {
+	for _, m := range typedSamples {
+		body := frame(f, m.typ, m.payload)[4:]
+		if _, ok := splitEnvelope(body); !ok {
+			f.Fatalf("WriteMsg's %s frame misses the split: %s", m.typ, body)
+		}
+		f.Add(body)
+	}
+	for _, body := range []string{
+		`{"type":"hello","payload": {"ap_id":"ap1"}}`,
+		`{"type":"hello","payload":{"ap_id":"ap1"} }`,
+		`{"type":"hello","payload":{"ap_id":"ap1"},"type":"measure-report"}`,
+		`{"type":"hell\u006f","payload":{"ap_id":"ap1"}}`,
+		`{"type":"h\u00e9llo","payload":{}}`,
+		`{"type":"héllo","payload":{}}`,
+		`{"type":"hello","payload":null}`,
+		`{"type":"hello","payload":{"ap_id":"ap`,
+		`{"type":"hello","payload":{"ap_id":}`,
+		`{"Type":"hello","payload":1}`,
+		`{"payload":1,"type":"hello"}`,
+	} {
+		f.Add([]byte(body))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, ok := splitEnvelope(body)
+		if !ok {
+			return
+		}
+		var want Envelope
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("split accepted a body json.Unmarshal rejects (%v): %q", err, body)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("split %+v != json.Unmarshal %+v for %q", got, want, body)
 		}
 	})
 }

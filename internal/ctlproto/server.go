@@ -1,6 +1,7 @@
 package ctlproto
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -437,14 +438,23 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	// First message must be a Hello.
-	env, err := ReadMsg(conn)
-	if err != nil || env.Type != TypeHello {
+	br := bufio.NewReader(conn)
+	env, err := ReadMsg(br)
+	if err != nil {
 		s.logf("ctlproto: connection without hello: %v", err)
 		return
 	}
+	if env.Type != TypeHello {
+		s.logf("ctlproto: connection without hello: first message is %q", env.Type)
+		return
+	}
 	hello, err := DecodePayload[Hello](env)
-	if err != nil || hello.APID == "" || len(hello.APID) > MaxIDLen {
+	if err != nil {
 		s.logf("ctlproto: bad hello: %v", err)
+		return
+	}
+	if hello.APID == "" || len(hello.APID) > MaxIDLen {
+		s.logf("ctlproto: bad hello: ap_id of %d bytes", len(hello.APID))
 		return
 	}
 	s.metrics().observeRx(TypeHello)
@@ -466,7 +476,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var dec DeltaDecoder
 	var rep MobilityReport
 	for {
-		env, err := ReadMsg(conn)
+		env, err := ReadMsg(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("ctlproto: %s: read: %v", sess.id, err)
@@ -599,8 +609,9 @@ func Dial(addr, apID string) (*APConn, error) {
 
 func (a *APConn) readLoop() {
 	defer close(a.Inbound)
+	br := bufio.NewReader(a.conn)
 	for {
-		env, err := ReadMsg(a.conn)
+		env, err := ReadMsg(br)
 		if err != nil {
 			return
 		}

@@ -36,8 +36,9 @@ var hotpathManifest = map[string][]hotpathPin{
 	"TestKernelStrategiesAllocFree": {
 		{"internal/channel/kernel.go", "Model", "evalIncremental"},
 		{"internal/channel/kernel.go", "", "chainSweepPrefixed"},
-		{"internal/channel/pow4.go", "", "pow075x4"},
-		{"internal/fastmath/fastmath.go", "", "Sincos"},
+		{"internal/fastmath/lanes_amd64.go", "", "sincos4"},
+		{"internal/fastmath/lanes_amd64.go", "", "log4"},
+		{"internal/fastmath/lanes_amd64.go", "", "exp4"},
 		{"internal/channel/kernel.go", "Model", "sweepFused"},
 		{"internal/channel/chainquad_amd64.go", "", "chainQuad2"},
 	},

@@ -464,6 +464,10 @@ func (m *Model) MeasureInto(t float64, h *csi.Matrix) Sample {
 	return m.sample(t, m.ResponseInto(t, h))
 }
 
+// noiseChunk is how many CSI entries one NormFill call covers in sample:
+// 128 complex entries, 2 KB of normals on the stack.
+const noiseChunk = 128
+
 // sample turns the noise-free response h at time t into a Sample: it adds
 // CSI estimation noise to h in place and derives the reported RSSI and
 // SNR, drawing from the noise RNG in a fixed order.
@@ -474,8 +478,17 @@ func (m *Model) sample(t float64, h *csi.Matrix) Sample {
 	rms := math.Sqrt(h.AvgPower())
 	sigma := rms * m.csiNoiseScale / math.Sqrt2
 	data := h.Data()
-	for i := range data {
-		data[i] += complex(m.noise.Gaussian(0, sigma), m.noise.Gaussian(0, sigma))
+	// NormFill draws the standard normals the Gaussian(0, sigma) calls
+	// would, in the same order (re, then im, per entry); each entry adds
+	// 0 + sigma*z, which is what Gaussian returns.
+	var z [2 * noiseChunk]float64
+	for lo := 0; lo < len(data); lo += noiseChunk {
+		blk := data[lo:min(lo+noiseChunk, len(data))]
+		zs := z[:2*len(blk)]
+		m.noise.NormFill(zs)
+		for i := range blk {
+			blk[i] += complex(0+sigma*zs[2*i], 0+sigma*zs[2*i+1])
+		}
 	}
 	rssi := m.rssiFrom(h)
 	return Sample{

@@ -88,6 +88,37 @@ func TestMeasureAddsNoise(t *testing.T) {
 	}
 }
 
+// TestMeasureNoiseMatchesGaussianDraws pins the CSI estimation noise to
+// its definition: per entry, in storage order, Gaussian(0, sigma) for the
+// real part and then the imaginary part, followed by the RSSI draw. Shapes
+// below, at and above one noise chunk, over several calls, cover the spare
+// NormFill carries between chunks, calls and the RSSI draw.
+func TestMeasureNoiseMatchesGaussianDraws(t *testing.T) {
+	for _, sub := range []int{7, 52, 130} {
+		cfg := DefaultConfig()
+		cfg.Subcarriers = sub
+		scen := mobility.NewScenario(mobility.Macro, mobility.DefaultSceneConfig(), stats.NewRNG(3))
+		m := New(cfg, scen, stats.NewRNG(9))
+		twin := stats.NewRNG(9).Split(0x6e6f6973) // the Model's noise stream
+		for call := 0; call < 5; call++ {
+			tt := float64(call) * 0.01
+			want := m.Response(tt)
+			sigma := math.Sqrt(want.AvgPower()) * m.csiNoiseScale / math.Sqrt2
+			data := want.Data()
+			for i := range data {
+				data[i] += complex(twin.Gaussian(0, sigma), twin.Gaussian(0, sigma))
+			}
+			got := m.Measure(tt).CSI.Data()
+			for i := range data {
+				if got[i] != data[i] {
+					t.Fatalf("%d subcarriers, call %d, entry %d: %v, want %v", sub, call, i, got[i], data[i])
+				}
+			}
+			twin.Gaussian(0, cfg.RSSINoiseDB)
+		}
+	}
+}
+
 func TestMeasureFields(t *testing.T) {
 	m := model(mobility.Static, 6)
 	s := m.Measure(2)

@@ -29,10 +29,10 @@ import (
 // powers, then the phasor Sincos fill, then the subcarrier chain loop.
 // Splitting the per-path work this way changes no per-value operation —
 // each pass applies exactly the op subsequence the scalar reference
-// applies to that value — but it puts consecutive long-latency calls
-// (Pow's Log/Exp pair, Sincos) back to back in tight loops, so the CPU
-// overlaps their dependency chains across paths instead of serialising
-// one path's full pipeline at a time.
+// applies to that value — but it gathers the long-latency calls (Pow's
+// Log/Exp pair, Sincos) of all changed paths into batches, which
+// fastmath's slice kernels run four paths to an instruction stream
+// instead of serialising one path's full pipeline at a time.
 //
 // Bit-identity argument (see DESIGN.md, "Batched SoA response kernel"):
 // the value the scalar reference adds at subcarrier sc for path pi is
@@ -104,47 +104,48 @@ func (m *Model) fillLegs(client geom.Point, lo int) {
 	}
 }
 
+// laneChunk is how many paths one breakpoint or phasor batch gathers;
+// longer index sets run in several batches.
+const laneChunk = 32
+
+// laneScratch is the gather space of the breakpoint and phasor passes.
+// evalIncremental declares one on its stack per evaluation, so the
+// zeroing of the arrays is paid once per call, not once per antenna pair,
+// and a Model carries no extra heap scratch.
+type laneScratch struct {
+	x, y [2 * laneChunk]float64
+	idx  [laneChunk]int32
+}
+
 // breakpointPass multiplies the gathered breakpoint excess-loss factors
 // into amps. Each amplitude gets exactly the scalar reference's op
-// sequence — amp * pow(bp/length, (n-2)/2) when length > bp — but the
-// Pow calls for all qualifying paths run back to back, so their long
-// Log/Exp dependency chains overlap across paths.
-func (m *Model) breakpointPass(amps, lens []float64, idx []int32, n int) {
+// sequence — amp * pow(bp/length, (n-2)/2) when length > bp. Under
+// pow075OK the ratios of a batch run pow075's sequence element-wise
+// through fastmath's slice kernels: Frexp, Log, ×−0.25, Exp, ×mantissa,
+// Ldexp. Those kernels return the library's bits, so every factor is
+// pow075's, which pow075Exact pins to math.Pow.
+func (m *Model) breakpointPass(amps, lens []float64, idx []int32, n int, ls *laneScratch) {
 	bp := m.cfg.PathLossBreakM
 	if m.pow075OK {
-		if pow4OK {
-			// Quad path: gather qualifying ratios four at a time so the
-			// Log→Exp chains overlap (pow4.go). Lanes are independent, so
-			// grouping changes no bits; the tail runs the scalar pow075,
-			// which the probes pin to the same outputs.
-			var rx [4]float64
-			var ri [4]int32
+		for i := 0; i < n; {
 			nq := 0
-			for i := 0; i < n; i++ {
+			for ; i < n && nq < laneChunk; i++ {
 				pi := idx[i]
 				if length := lens[pi]; length > bp {
-					rx[nq] = bp / length
-					ri[nq] = pi
+					ls.x[nq] = bp / length
+					ls.idx[nq] = pi
 					nq++
-					if nq == 4 {
-						y0, y1, y2, y3 := pow075x4(rx[0], rx[1], rx[2], rx[3])
-						amps[ri[0]] *= y0
-						amps[ri[1]] *= y1
-						amps[ri[2]] *= y2
-						amps[ri[3]] *= y3
-						nq = 0
-					}
 				}
 			}
-			for k := 0; k < nq; k++ {
-				amps[ri[k]] *= pow075(rx[k])
+			x, a := ls.x[:nq], ls.y[:nq]
+			fastmath.LogSlice(x, a)
+			for k := range a {
+				a[k] *= -0.25
 			}
-			return
-		}
-		for i := 0; i < n; i++ {
-			pi := idx[i]
-			if length := lens[pi]; length > bp {
-				amps[pi] *= pow075(bp / length)
+			fastmath.ExpSlice(a, a)
+			for k, r := range x {
+				frac, exp := math.Frexp(r)
+				amps[ls.idx[k]] *= math.Ldexp(a[k]*frac, exp)
 			}
 		}
 		return
@@ -162,35 +163,28 @@ func (m *Model) breakpointPass(amps, lens []float64, idx []int32, n int) {
 // cached lengths and amplitudes: the initial phasor amp·e^{-j2πf0L/c} and
 // the per-subcarrier rotation e^{-j2πΔfL/c}, exactly as cmplx.Rect
 // builds them (Sincos, then the r·cos / r·sin products; the rotation's
-// unit radius makes its products the Sincos results themselves).
-func (m *Model) phasorPass(amps, lens []float64, ph0, rot []complex128, idx []int32, n int) {
+// unit radius makes its products the Sincos results themselves). Both
+// angles of every path in a batch go through one SincosSlice call.
+func (m *Model) phasorPass(amps, lens []float64, ph0, rot []complex128, idx []int32, n int, ls *laneScratch) {
 	// k0/kd fold the constant prefix of the reference's angle expression
 	// -2·π·f·length/c; the remaining ·length and /c stay separate ops in
 	// the reference's order, so the angle is bit-identical.
 	k0 := -2 * math.Pi * m.f0
 	kd := -2 * math.Pi * m.df
-	if fastmath.SincosExact {
-		// Branchless transcription of math.Sincos (fastmath): same bits,
-		// no octant mispredicts, and consecutive calls overlap.
-		for i := 0; i < n; i++ {
-			pi := idx[i]
+	for lo := 0; lo < n; lo += laneChunk {
+		batch := idx[lo:min(lo+laneChunk, n)]
+		sin, cos := ls.x[:2*len(batch)], ls.y[:2*len(batch)]
+		for k, pi := range batch {
 			length := lens[pi]
-			amp := amps[pi]
-			s0, c0 := fastmath.Sincos(k0 * length / SpeedOfLight)
-			sd, cd := fastmath.Sincos(kd * length / SpeedOfLight)
-			ph0[pi] = complex(amp*c0, amp*s0)
-			rot[pi] = complex(cd, sd)
+			sin[2*k] = k0 * length / SpeedOfLight
+			sin[2*k+1] = kd * length / SpeedOfLight
 		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		pi := idx[i]
-		length := lens[pi]
-		amp := amps[pi]
-		s0, c0 := math.Sincos(k0 * length / SpeedOfLight)
-		sd, cd := math.Sincos(kd * length / SpeedOfLight)
-		ph0[pi] = complex(amp*c0, amp*s0)
-		rot[pi] = complex(cd, sd)
+		fastmath.SincosSlice(sin, sin, cos) // the sines overwrite the angles
+		for k, pi := range batch {
+			amp := amps[pi]
+			ph0[pi] = complex(amp*cos[2*k], amp*sin[2*k])
+			rot[pi] = complex(cos[2*k+1], sin[2*k+1])
+		}
 	}
 }
 
@@ -257,6 +251,7 @@ func (m *Model) evalIncremental(client geom.Point, h *csi.Matrix, first int) {
 
 	lambdaScale := m.cfg.Wavelength() / (4 * math.Pi)
 	bpActive := m.cfg.PathLossBreakM > 0 && m.cfg.PathLossExponent > 2
+	var ls laneScratch
 	data := h.Data()
 	m.fillLegs(client, first)
 	for txi, txOff := range m.apAnts {
@@ -301,9 +296,9 @@ func (m *Model) evalIncremental(client geom.Point, h *csi.Matrix, first int) {
 			c.pathEvals += uint64(nb)
 			c.pathReuses += uint64(nPaths - nb)
 			if bpActive {
-				m.breakpointPass(amps, lens, idx, nb)
+				m.breakpointPass(amps, lens, idx, nb, &ls)
 			}
-			m.phasorPass(amps, lens, ph0, rot, idx, nb)
+			m.phasorPass(amps, lens, ph0, rot, idx, nb, &ls)
 
 			// Gather the chains to run: memoized phasors for paths
 			// [start, first), fresh-or-reused phasors for [first, nPaths).

@@ -1,168 +1,193 @@
-// Package fastmath provides a branchless transcription of the Go math
-// package's portable Sincos for simulation hot paths.
+// Package fastmath evaluates the math package's Sincos, Log and Exp over
+// slices, four elements at a time in AVX2 lanes on amd64, with outputs
+// bit-identical to the library's.
 //
-// The library's portable Sin, Cos and Sincos share one algorithm: octant
-// reduction j = x/(Pi/4), extended-precision Cody-Waite argument
-// reduction, the same two polynomials, and an octant-dependent ladder of
-// swaps and sign flips. Sin(x), Cos(x) and Sincos(x) therefore agree
-// bit-for-bit with each other by construction — Sincos's outputs ARE
-// Sin's and Cos's. What makes them slow in tight loops is the ladder:
-// its branches depend on the octant, so for effectively random angles
-// (path lengths in the channel kernel, uniform Box-Muller angles in the
-// RNG) they mispredict constantly, and the mispredicts also stop the CPU
-// from overlapping consecutive calls.
+// Each lane kernel (lanes_amd64.s) is an operation-for-operation
+// transcription of the code math runs on amd64: the portable Sincos
+// (math/sincos.go), the assembly archLog, and archExp's FMA variant,
+// which math.Exp takes whenever the CPU has AVX and FMA. A lane applies
+// the library's IEEE operations in the library's order to its own input,
+// so it rounds exactly where the library rounds. Sincos's octant branches
+// become a blend and sign-bit XORs, which move values without rounding
+// them; archLog's adjustment is already mask arithmetic, copied as is;
+// archExp's branches lie outside the lanes' domain. What the lanes buy is
+// throughput: four independent dependency chains per instruction stream
+// instead of one, and no octant-dependent branches to mispredict on
+// random angles.
 //
-// Sincos here computes the identical values with straight-line code: the
-// sign flips become sign-bit XORs (IEEE negation is exactly a sign-bit
-// flip, so -v and bits(v)^(1<<63) are the same value for every float64)
-// and the sin/cos swap becomes an XOR exchange (a bit-level move that
-// does not touch either value). Every arithmetic operation on the way to
-// those selections — the octant conversion, the reduction, both
-// polynomials — is copied operation-for-operation from math/sincos.go,
-// with the unexported _sin and _cos coefficient tables duplicated from
-// math/sin.go.
+// A block of four runs in lanes only when every lane lies in the kernel's
+// plain domain, where the library takes none of its special-case exits:
 //
-// Bit-identity is empirical, not assumed: SincosExact is established at
-// init by probing Sincos against math.Sincos, math.Sin and math.Cos over
-// octant boundaries, magnitude sweeps, specials and denormals. If a
-// future math package changes the portable algorithm, the probe fails
-// and callers fall back to the library, which matches by definition.
-// Arguments at or beyond the library's trigReduce threshold are
-// delegated to math.Sincos inside Sincos, so the function is total.
+//   - Sincos: |x| < 2^29, below the library's Payne-Hanek threshold;
+//   - Log: x positive, normal and finite;
+//   - Exp: |x| <= 700, so the result needs no overflow, underflow or
+//     denormal scaling.
+//
+// Any other block, and the tail of fewer than four, goes to math.Sincos,
+// math.Log or math.Exp, so every entry point is total.
+//
+// Bit-identity is checked, not assumed. Each kernel has one gate, set at
+// init: the CPU and OS must support AVX2, FMA and YMM state, and then the
+// kernel must reproduce the library bit for bit over a probe sweep of
+// octant boundaries, magnitudes, specials and denormals. With a gate off
+// (another platform, a GOAMD64 level that lets the compiler contract the
+// library's portable code into FMAs, or a future library change) the
+// library computes every element. Callers never consult a gate.
 package fastmath
 
 import "math"
 
-// Constants and coefficients from math/sincos.go and math/sin.go, parsed
-// from the same decimal literals.
-const (
-	pi4A = 7.85398125648498535156e-1 // Pi/4 split into three parts
-	pi4B = 3.77489470793079817668e-8
-	pi4C = 2.69515142907905952645e-15
+// SincosExact gates the Sincos lanes: true when the CPU runs them and
+// they reproduce math.Sincos bit for bit over the probe sweep.
+var SincosExact = hasLanes && probeSincos()
 
-	// Above this magnitude the library switches to Payne-Hanek reduction
-	// (trigReduce); Sincos delegates to math.Sincos there.
-	reduceThreshold = 1 << 29
+// logExact and expExact gate the Log and Exp lanes likewise.
+var (
+	logExact = hasLanes && probeUnary(logSlice, math.Log)
+	expExact = hasLanes && probeUnary(expSlice, math.Exp)
 )
 
-var sinCoef = [6]float64{
-	1.58962301576546568060e-10,
-	-2.50507477628578072866e-8,
-	2.75573136213857245213e-6,
-	-1.98412698295895385996e-4,
-	8.33333333332211858878e-3,
-	-1.66666666666666307295e-1,
-}
+// SincosSlice sets sin[i], cos[i] = math.Sincos(x[i]) for every i. sin or
+// cos may be x itself; it panics if either is shorter than x.
+func SincosSlice(x, sin, cos []float64) { sincosSlice(x, sin, cos, SincosExact) }
 
-var cosCoef = [6]float64{
-	-1.13585365213876817300e-11,
-	2.08757008419747316778e-9,
-	-2.75573141792967388112e-7,
-	2.48015872888517045348e-5,
-	-1.38888888888730564116e-3,
-	4.16666666666665929218e-2,
-}
+// LogSlice sets out[i] = math.Log(x[i]) for every i. out may be x; it
+// panics if out is shorter than x.
+func LogSlice(x, out []float64) { logSlice(x, out, logExact) }
 
-// Sincos returns math.Sincos(x) — equivalently (math.Sin(x),
-// math.Cos(x)) — computed without data-dependent branches for |x| below
-// the reduction threshold. Callers on hot paths must check SincosExact
-// first.
-//
-//mobilint:hotpath
-func Sincos(x float64) (sin, cos float64) {
-	xb := math.Float64bits(x)
-	ax := math.Float64frombits(xb &^ (1 << 63))
-	if !(ax < reduceThreshold) {
-		// Huge, infinite or NaN argument: the library's trigReduce /
-		// special-case territory. (A NaN fails the comparison too.)
-		return math.Sincos(x)
+// ExpSlice sets out[i] = math.Exp(x[i]) for every i. out may be x; it
+// panics if out is shorter than x.
+func ExpSlice(x, out []float64) { expSlice(x, out, expExact) }
+
+// sincosSlice is SincosSlice with the lanes on or off. Each pass of the
+// loop runs the kernel to the end of x or to the first block it declines,
+// and hands a declined block to the library whole.
+func sincosSlice(x, sin, cos []float64, lanes bool) {
+	sin, cos = sin[:len(x)], cos[:len(x)]
+	i := 0
+	for lanes && len(x)-i >= 4 {
+		i += sincos4(&x[i], &sin[i], &cos[i], len(x)-i)
+		if len(x)-i >= 4 {
+			for end := i + 4; i < end; i++ {
+				sin[i], cos[i] = math.Sincos(x[i])
+			}
+		}
 	}
-	negBit := xb >> 63
-
-	// Octant of |x|: integer part of |x|/(Pi/4), odd octants mapped up so
-	// the reduction is centred. float64(j)+1 is exact here (j < 2^30), so
-	// folding the increment before the conversion reproduces the
-	// library's y++ bit-for-bit.
-	j := uint64(ax * (4 / math.Pi))
-	j += j & 1
-	y := float64(j)
-	j &= 7
-
-	// Extended-precision modular arithmetic, verbatim.
-	z := ((ax - y*pi4A) - y*pi4B) - y*pi4C
-	zz := z * z
-	cosv := 1.0 - 0.5*zz + zz*zz*((((((cosCoef[0]*zz)+cosCoef[1])*zz+cosCoef[2])*zz+cosCoef[3])*zz+cosCoef[4])*zz+cosCoef[5])
-	sinv := z + z*zz*((((((sinCoef[0]*zz)+sinCoef[1])*zz+sinCoef[2])*zz+sinCoef[3])*zz+sinCoef[4])*zz+sinCoef[5])
-
-	// Octant selection, branch-free. With jm = j mod 4 and refl = j/4,
-	// the library's ladder reduces to: swap sin/cos when jm is 1 or 2,
-	// negate sin when refl XOR signbit(x), negate cos when refl XOR
-	// (jm > 1). The swap is an XOR exchange and the negations are
-	// sign-bit XORs; neither touches a value's bits beyond moving or
-	// sign-flipping it, so the outputs match the branchy original
-	// exactly.
-	jm := j & 3
-	swap := (jm + 1) >> 1 & 1
-	refl := j >> 2
-	sinNeg := (refl ^ negBit) & 1
-	cosNeg := (refl ^ jm>>1) & 1
-
-	sb := math.Float64bits(sinv)
-	cb := math.Float64bits(cosv)
-	d := (sb ^ cb) & (0 - swap)
-	sin = math.Float64frombits(sb ^ d ^ sinNeg<<63)
-	cos = math.Float64frombits(cb ^ d ^ cosNeg<<63)
-	return
+	for ; i < len(x); i++ {
+		sin[i], cos[i] = math.Sincos(x[i])
+	}
 }
 
-// SincosExact gates the branchless Sincos: true only when it reproduces
-// this platform's math.Sincos, math.Sin and math.Cos bit-for-bit across
-// a probe sweep of octant boundaries, magnitudes spanning the
-// simulator's angle domains, specials and denormals.
-var SincosExact = func() bool {
+// logSlice is LogSlice with the lanes on or off (see sincosSlice).
+func logSlice(x, out []float64, lanes bool) {
+	out = out[:len(x)]
+	i := 0
+	for lanes && len(x)-i >= 4 {
+		i += log4(&x[i], &out[i], len(x)-i)
+		if len(x)-i >= 4 {
+			for end := i + 4; i < end; i++ {
+				out[i] = math.Log(x[i])
+			}
+		}
+	}
+	for ; i < len(x); i++ {
+		out[i] = math.Log(x[i])
+	}
+}
+
+// expSlice is ExpSlice with the lanes on or off (see sincosSlice).
+func expSlice(x, out []float64, lanes bool) {
+	out = out[:len(x)]
+	i := 0
+	for lanes && len(x)-i >= 4 {
+		i += exp4(&x[i], &out[i], len(x)-i)
+		if len(x)-i >= 4 {
+			for end := i + 4; i < end; i++ {
+				out[i] = math.Exp(x[i])
+			}
+		}
+	}
+	for ; i < len(x); i++ {
+		out[i] = math.Exp(x[i])
+	}
+}
+
+// same reports whether a and b are the same float64, any NaN matching
+// any NaN.
+func same(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// sincosProbes returns the Sincos probe sweep: specials and denormals,
+// one-ulp-scale neighbourhoods of the octant boundaries k*Pi/4, a
+// magnitude sweep from 1e-15 past the 2^29 threshold, and dense sweeps
+// over the channel kernel's path angles (around 1e2..1e5 in magnitude)
+// and the RNG's Box-Muller angles in [0, 2*Pi).
+func sincosProbes() []float64 {
 	probes := []float64{
 		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
-		5e-324, -5e-324, 1e-310, -1e-310,
-		float64(reduceThreshold), -float64(reduceThreshold),
+		5e-324, -5e-324, 1e-310, -1e-310, 1 << 29, -(1 << 29),
 	}
-	// Octant boundaries: multiples of Pi/4 with one-ulp-scale nudges.
 	for k := 0; k <= 64; k++ {
 		b := float64(k) * (math.Pi / 4)
 		probes = append(probes, b, -b, b+1e-9, -(b + 1e-9), b-1e-9, -(b - 1e-9))
 	}
-	// Magnitude sweep from denormal territory past the reduction
-	// threshold (channel angles land around 1e2..1e5, RNG angles in
-	// [0, 2*Pi)).
 	x := 1e-15
 	for i := 0; i < 250; i++ {
 		probes = append(probes, x, -x)
 		x *= 1.35
 	}
-	// Dense sweeps over both hot-path domains.
 	for i := 0; i < 2000; i++ {
 		probes = append(probes, -5e4+float64(i)*53.77)
 	}
 	for i := 0; i < 1000; i++ {
 		probes = append(probes, float64(i)*(2*math.Pi/1000))
 	}
-	for _, p := range probes {
-		s, c := Sincos(p)
-		ws, wc := math.Sincos(p)
-		if math.Float64bits(s) != math.Float64bits(ws) && !(math.IsNaN(s) && math.IsNaN(ws)) {
-			return false
-		}
-		if math.Float64bits(c) != math.Float64bits(wc) && !(math.IsNaN(c) && math.IsNaN(wc)) {
-			return false
-		}
-		// Sin/Cos must agree with Sincos on this platform for the RNG's
-		// separate calls to be substitutable.
-		ss, sc2 := math.Sin(p), math.Cos(p)
-		if math.Float64bits(ss) != math.Float64bits(ws) && !(math.IsNaN(ss) && math.IsNaN(ws)) {
-			return false
-		}
-		if math.Float64bits(sc2) != math.Float64bits(wc) && !(math.IsNaN(sc2) && math.IsNaN(wc)) {
+	return probes
+}
+
+// logExpProbes returns the Log and Exp probe sweep: specials, denormals,
+// Exp's overflow and underflow edges, and both signs of a geometric sweep
+// from 1e-12 to beyond 1e12, which covers the breakpoint ratios, their
+// logarithms and the RNG's uniforms.
+func logExpProbes() []float64 {
+	probes := []float64{
+		0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, 1e-310, math.MaxFloat64, 700, -700, 709, 710, -745, -746,
+	}
+	x := 1e-12
+	for i := 0; i < 600; i++ {
+		probes = append(probes, x, -x)
+		x *= 1.1
+	}
+	return probes
+}
+
+// probeSincos runs the Sincos lanes over the probe sweep and reports
+// whether every output matches math.Sincos.
+func probeSincos() bool {
+	x := sincosProbes()
+	sin, cos := make([]float64, len(x)), make([]float64, len(x))
+	sincosSlice(x, sin, cos, true)
+	for i, v := range x {
+		ws, wc := math.Sincos(v)
+		if !same(sin[i], ws) || !same(cos[i], wc) {
 			return false
 		}
 	}
 	return true
-}()
+}
+
+// probeUnary runs a Log or Exp slice function with its lanes on over the
+// probe sweep and reports whether every output matches lib.
+func probeUnary(slice func(x, out []float64, lanes bool), lib func(float64) float64) bool {
+	x := logExpProbes()
+	out := make([]float64, len(x))
+	slice(x, out, true)
+	for i, v := range x {
+		if !same(out[i], lib(v)) {
+			return false
+		}
+	}
+	return true
+}

@@ -6,6 +6,8 @@
 package mac
 
 import (
+	"math"
+
 	"mobiwlan/internal/channel"
 	"mobiwlan/internal/csi"
 	"mobiwlan/internal/phy"
@@ -122,6 +124,11 @@ func (l *Link) Transmit(t float64, mcs phy.MCS, nMPDU int) FrameResult {
 		l.hTau = l.Chan.ResponseInto(t+l.Timing.PLCPPreamble+tau, l.hTau)
 		rhoAt[a] = csi.TemporalCorrelation(l.h0, l.hTau)
 	}
+	// The linear SNR is a frame invariant, and PER is a pure function of
+	// the subframe SINR, so a subframe whose SINR has the bits of the
+	// previous one's reuses its PER (every subframe of a static link).
+	snr := math.Pow(10, effSNR/10)
+	var prevSINR, per float64
 	for k := 0; k < nMPDU; k++ {
 		frac := (float64(k) + 0.5) / float64(nMPDU) * float64(anchors-1)
 		lo := int(frac)
@@ -130,8 +137,11 @@ func (l *Link) Transmit(t float64, mcs phy.MCS, nMPDU int) FrameResult {
 		}
 		w := frac - float64(lo)
 		rho := rhoAt[lo]*(1-w) + rhoAt[lo+1]*w
-		sinr := phy.StaleSINRdB(effSNR, rho)
-		per := phy.PER(mcs, sinr, l.MPDUBytes)
+		sinr := phy.StaleSINRdBLin(effSNR, snr, rho)
+		if k == 0 || math.Float64bits(sinr) != math.Float64bits(prevSINR) {
+			per = phy.PER(mcs, sinr, l.MPDUBytes)
+			prevSINR = sinr
+		}
 		if !l.rng.Bool(per) {
 			res.Delivered++
 		}

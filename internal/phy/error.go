@@ -10,8 +10,9 @@ import "math"
 // multiplexing without SVD precoding needs extra SNR per additional stream
 // for the linear receiver to separate the streams.
 
-// requiredSNRdB is the per-stream SNR at which the coded BER crosses ~1e-5
-// for each of the 8 base schemes (values typical of 802.11n receivers).
+// requiredSNRdB is the per-stream SNR at which the coded BER falls to
+// Q(5.2) = 0.5*erfc(5.2/sqrt2) ~ 1e-7 (waterfallCenterOffsetDB) for each of
+// the 8 base schemes (values typical of 802.11n receivers).
 var requiredSNRdB = []float64{2, 5, 8, 11, 15, 19, 21, 23}
 
 // streamPenaltyDB is the extra SNR needed per additional spatial stream.
@@ -100,13 +101,19 @@ func OptimalMCS(w ChannelWidth, sgi bool, snrDB float64, lengthBytes, maxStreams
 // produces the paper's aggregation (Fig. 10), SU-beamforming (Fig. 11),
 // and MU-MIMO (Fig. 12) staleness curves.
 func StaleSINRdB(snrDB, rho float64) float64 {
+	return StaleSINRdBLin(snrDB, math.Pow(10, snrDB/10), rho)
+}
+
+// StaleSINRdBLin is StaleSINRdB given also the linear SNR,
+// snr = math.Pow(10, snrDB/10), so a caller that evaluates many rho
+// against one SNR converts it once.
+func StaleSINRdBLin(snrDB, snr, rho float64) float64 {
 	if rho >= 1 {
 		return snrDB
 	}
 	if rho <= 0 {
 		return -40
 	}
-	snr := math.Pow(10, snrDB/10)
 	r2 := rho * rho
 	sinr := r2 * snr / ((1-r2)*snr + 1)
 	if sinr < 1e-4 {

@@ -118,11 +118,16 @@ func TestCodedBERMonotoneInSNR(t *testing.T) {
 	}
 }
 
+// TestCodedBERAtRequiredSNRIsSmall pins the waterfall's reliability point
+// to its closed form: at RequiredSNRdB the argument is 5.2 slopes above
+// the centre, so the coded BER is Q(5.2) = 0.5*erfc(5.2/sqrt2) ~ 9.96e-8
+// for every MCS.
 func TestCodedBERAtRequiredSNRIsSmall(t *testing.T) {
+	want := 0.5 * math.Erfc(5.2/math.Sqrt2)
 	for _, m := range Table {
 		ber := CodedBER(m, RequiredSNRdB(m))
-		if ber > 1e-4 {
-			t.Errorf("%v: BER at required SNR = %v, want < 1e-4", m, ber)
+		if math.Abs(ber-want) > 1e-9*want {
+			t.Errorf("%v: BER at required SNR = %v, want Q(5.2) = %v", m, ber, want)
 		}
 	}
 }

@@ -87,19 +87,63 @@ func (r *RNG) NormFloat64() float64 {
 	}
 	v = r.Float64()
 	mag := math.Sqrt(-2 * math.Log(u))
-	if fastmath.SincosExact {
-		// One branchless reduction serves both variates; bit-identical
-		// to the separate Sin and Cos calls below (fastmath's probe pins
-		// all three against each other), without the octant mispredicts
-		// that random angles inflict on the branchy library ladder.
-		s, c := fastmath.Sincos(2 * math.Pi * v)
-		r.spare = mag * s
-		r.hasSpare = true
-		return mag * c
-	}
-	r.spare = mag * math.Sin(2*math.Pi*v)
+	s, c := math.Sincos(2 * math.Pi * v)
+	r.spare = mag * s
 	r.hasSpare = true
-	return mag * math.Cos(2*math.Pi*v)
+	return mag * c
+}
+
+// normChunk is how many Box-Muller pairs one NormFill pass transforms.
+const normChunk = 128
+
+// NormFill fills dst with standard Gaussian variates: the values, in order,
+// that len(dst) NormFloat64 calls would return, leaving r in the state
+// those calls would leave. It draws the uniforms in the same order, with
+// the same u > 0 redraw, and carries the spare in and out, but it takes the
+// logarithms and the sines and cosines of a whole pass at once through
+// fastmath's slice kernels, which return the library's bits.
+func (r *RNG) NormFill(dst []float64) {
+	if len(dst) > 0 && r.hasSpare {
+		r.hasSpare = false
+		dst[0] = r.spare
+		dst = dst[1:]
+	}
+	var cos [normChunk]float64
+	for len(dst) >= 2 {
+		// Pair k's uniform goes to dst[k] and its angle to dst[p+k].
+		p := min(len(dst)/2, normChunk)
+		mag, ang := dst[:p], dst[p:2*p]
+		for k := range mag {
+			u := r.Float64()
+			for u <= 0 {
+				u = r.Float64()
+			}
+			mag[k] = u
+			ang[k] = 2 * math.Pi * r.Float64()
+		}
+		fastmath.LogSlice(mag, mag)
+		fastmath.SincosSlice(ang, ang, cos[:p])
+		for k, l := range mag {
+			m := math.Sqrt(-2 * l)
+			cos[k] *= m
+			ang[k] *= m
+		}
+		// Interleave: pair k's variates go to dst[2k] and dst[2k+1]. In
+		// ascending k those slots lie below dst[p+k+1], so no sine is
+		// overwritten before it moves.
+		for k := range p {
+			s := ang[k]
+			dst[2*k] = cos[k]
+			dst[2*k+1] = s
+		}
+		// NormFloat64 leaves the last sine in the spare slot after
+		// returning it; so does NormFill, so the whole state matches.
+		r.spare = dst[2*p-1]
+		dst = dst[2*p:]
+	}
+	if len(dst) == 1 {
+		dst[0] = r.NormFloat64()
+	}
 }
 
 // Gaussian returns a Gaussian variate with the given mean and stddev.

@@ -91,6 +91,78 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
+// zeroAt returns a seed whose k-th Uint64 (k >= 1) is 0, so its k-th
+// Float64 is the zero uniform Box-Muller must redraw. Uint64 adds the
+// SplitMix64 increment to the state and then applies the finalizer, a
+// bijection that maps 0 to 0: the k-th output is 0 exactly when seed plus
+// k increments wraps to 0.
+func zeroAt(k uint64) uint64 {
+	return -(k * 0x9e3779b97f4a7c15)
+}
+
+// TestNormFloat64SkipsZeroUniform pins the u > 0 redraw: a zero first
+// uniform is discarded, and the variates come from the next two draws.
+func TestNormFloat64SkipsZeroUniform(t *testing.T) {
+	ref := NewRNG(zeroAt(1))
+	if z := ref.Float64(); z != 0 {
+		t.Fatalf("seed zeroAt(1) drew %v first, want 0", z)
+	}
+	u, v := ref.Float64(), ref.Float64()
+	mag := math.Sqrt(-2 * math.Log(u))
+	s, c := math.Sincos(2 * math.Pi * v)
+
+	r := NewRNG(zeroAt(1))
+	if got := r.NormFloat64(); got != mag*c {
+		t.Fatalf("first variate %v, want %v from the draws after the zero", got, mag*c)
+	}
+	if got := r.NormFloat64(); got != mag*s {
+		t.Fatalf("spare variate %v, want %v", got, mag*s)
+	}
+	if r.state != ref.state {
+		t.Fatalf("state %x after the pair, want %x: the zero draw was not skipped exactly once", r.state, ref.state)
+	}
+}
+
+// TestNormFillMatchesNormFloat64 pins NormFill to repeated NormFloat64
+// calls bit for bit, and the generator state after each fill: random
+// lengths 0-700 (odd ones end on a spare), entry with and without a
+// spare, scalar calls interleaved, and seeds that put a zero uniform at
+// every position of the first pass's first pairs and deep in the stream.
+func TestNormFillMatchesNormFloat64(t *testing.T) {
+	pick := NewRNG(5)
+	seeds := []uint64{1, 42, 0xdeadbeef, zeroAt(500), zeroAt(501), zeroAt(1001)}
+	for k := uint64(1); k <= 9; k++ {
+		seeds = append(seeds, zeroAt(k))
+	}
+	for _, seed := range seeds {
+		fill, ref := NewRNG(seed), NewRNG(seed)
+		for step := 0; step < 30; step++ {
+			if step > 0 && pick.Intn(3) == 0 {
+				for i := pick.Intn(3); i >= 0; i-- {
+					if got, want := fill.NormFloat64(), ref.NormFloat64(); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("seed %x step %d: interleaved NormFloat64 %v, want %v", seed, step, got, want)
+					}
+				}
+				continue
+			}
+			n := pick.Intn(701)
+			if step == 0 {
+				n = 2 + pick.Intn(699) // the first fill meets the seeded zero
+			}
+			got := make([]float64, n)
+			fill.NormFill(got)
+			for i, g := range got {
+				if want := ref.NormFloat64(); math.Float64bits(g) != math.Float64bits(want) {
+					t.Fatalf("seed %x step %d: NormFill(%d)[%d] = %v, want %v", seed, step, n, i, g, want)
+				}
+			}
+			if *fill != *ref {
+				t.Fatalf("seed %x step %d: NormFill(%d) left %+v, NormFloat64 calls %+v", seed, step, n, *fill, *ref)
+			}
+		}
+	}
+}
+
 func TestGaussianScaling(t *testing.T) {
 	r := NewRNG(17)
 	const n = 100000
@@ -159,4 +231,34 @@ func TestRangeBounds(t *testing.T) {
 			t.Fatalf("Range(-3,5) = %v", v)
 		}
 	}
+}
+
+// csiNoiseDraws is the Gaussian count of one CSI measurement at the
+// default shape: 52 subcarriers x 6 antenna pairs x (re, im).
+const csiNoiseDraws = 624
+
+var normSink float64
+
+func BenchmarkNormFill(b *testing.B) {
+	r := NewRNG(1)
+	dst := make([]float64, csiNoiseDraws)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.NormFill(dst)
+	}
+	normSink = dst[0]
+}
+
+func BenchmarkNormFloat64Loop(b *testing.B) {
+	r := NewRNG(1)
+	dst := make([]float64, csiNoiseDraws)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range dst {
+			dst[j] = r.NormFloat64()
+		}
+	}
+	normSink = dst[0]
 }

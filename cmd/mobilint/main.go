@@ -1,7 +1,7 @@
 // Command mobilint is the repo's static-analysis gate: it enforces the
-// determinism, concurrency, error-hygiene, hot-path allocation,
-// RNG-split and stdout-purity contracts documented in DESIGN.md
-// ("Enforced invariants") on every package in the module.
+// determinism, goroutine-capture, error-hygiene, documentation,
+// hot-path allocation and stdout-purity contracts documented in
+// DESIGN.md ("Enforced invariants") on every package in the module.
 //
 // Usage:
 //
@@ -9,14 +9,11 @@
 //	go run ./cmd/mobilint internal/sim     # lint one package
 //	go run ./cmd/mobilint -list            # show the checks
 //	go run ./cmd/mobilint -checks map-order,time-now ./...
-//	go run ./cmd/mobilint -format json ./...          # CI artifact
-//	go run ./cmd/mobilint -baseline lint_baseline.json ./...
+//	go run ./cmd/mobilint -format json ./...   # CI artifact
 //
-// Exit status: 0 clean, 1 findings, 2 usage or analysis error.
-// Suppress an individual finding with a justified directive on the
-// same line or the line above:
-//
-//	//lint:ignore <check> <reason>
+// Exit status: 0 clean, 1 findings, 2 usage or analysis error. There
+// is no suppression directive or baseline: a finding is fixed in the
+// code.
 package main
 
 import (
@@ -41,9 +38,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list registered checks and exit")
 	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all checks)")
 	format := fs.String("format", "text", "output format: text or json")
-	baseline := fs.String("baseline", "", "JSON baseline file; recorded findings are tolerated, only new ones fail")
 	fs.Usage = func() {
-		_, _ = fmt.Fprintf(stderr, "usage: mobilint [-list] [-checks c1,c2] [-format text|json] [-baseline file] [packages]\n")
+		_, _ = fmt.Fprintf(stderr, "usage: mobilint [-list] [-checks c1,c2] [-format text|json] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -54,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sorted := append([]*lint.Check(nil), lint.Checks...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
 		for _, c := range sorted {
-			_, _ = fmt.Fprintf(stdout, "%-16s %s\n", c.Name, c.Doc)
+			_, _ = fmt.Fprintf(stdout, "%-18s %s\n", c.Name, c.Doc)
 		}
 		return 0
 	}
@@ -74,19 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		_, _ = fmt.Fprintln(stderr, "mobilint:", err)
 		return 2
-	}
-
-	if *baseline != "" {
-		bl, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			_, _ = fmt.Fprintln(stderr, "mobilint:", err)
-			return 2
-		}
-		var absorbed int
-		findings, absorbed = bl.Apply(findings)
-		if absorbed > 0 {
-			_, _ = fmt.Fprintf(stderr, "mobilint: %d baselined finding(s) ignored\n", absorbed)
-		}
 	}
 
 	switch *format {

@@ -1,8 +1,6 @@
 package channel
 
-// cpuHasAVX2 reports whether this CPU and OS support AVX2 and YMM state
-// (cpu_amd64.s).
-func cpuHasAVX2() bool
+import "mobiwlan/internal/fastmath"
 
 // chainQuad2 is the AVX2 fused-sweep kernel (chainquad_amd64.s): it
 // advances one two-pair column chunk of chains across four subcarriers,
@@ -18,4 +16,4 @@ func cpuHasAVX2() bool
 func chainQuad2(contribs, rots, out, pref *complex128, stride uintptr, n, snap, seed int, scale float64)
 
 // fusedSweepOK gates the fused all-pairs chain sweep on AVX2.
-var fusedSweepOK = cpuHasAVX2()
+var fusedSweepOK = fastmath.HasAVX2

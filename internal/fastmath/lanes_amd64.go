@@ -1,11 +1,16 @@
 package fastmath
 
+// HasAVX2 reports whether this CPU and OS run AVX2 with YMM state
+// enabled. internal/channel gates its fused chain sweep on it.
+var HasAVX2, hasFMA = cpuFeatures()
+
 // hasLanes reports whether this CPU and OS run the AVX2 and FMA
 // instructions the lane kernels use (lanes_amd64.s).
-var hasLanes = cpuHasAVX2FMA()
+var hasLanes = HasAVX2 && hasFMA
 
-// cpuHasAVX2FMA reports AVX2, FMA and OS-enabled YMM state.
-func cpuHasAVX2FMA() bool
+// cpuFeatures reports AVX2 and FMA, each with OS-enabled YMM state; it is
+// the module's one CPUID routine.
+func cpuFeatures() (avx2, fma bool)
 
 // sincos4, log4 and exp4 are the lane kernels (lanes_amd64.s). Each runs
 // blocks of four from the start of x while at least four of n elements

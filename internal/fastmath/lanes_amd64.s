@@ -382,39 +382,43 @@ expdone:
 	MOVQ AX, ret+24(FP)
 	RET
 
-// func cpuHasAVX2FMA() bool
+// func cpuFeatures() (avx2, fma bool)
 //
-// Max CPUID leaf >= 7; CPUID.1:ECX FMA(12), OSXSAVE(27) and AVX(28); XCR0
-// XMM|YMM state enabled by the OS; CPUID.7.0:EBX AVX2(5).
-TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
+// Both bits need max CPUID leaf >= 7, CPUID.1:ECX OSXSAVE(27) and AVX(28),
+// and XCR0 XMM|YMM state enabled by the OS. avx2 is then CPUID.7.0:EBX
+// AVX2(5) and fma is CPUID.1:ECX FMA(12).
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB $0, avx2+0(FP)
+	MOVB $0, fma+1(FP)
+
 	MOVL $0, AX
 	MOVL $0, CX
 	CPUID
 	CMPL AX, $7
-	JLT  no
+	JLT  done
 
 	MOVL $1, AX
 	MOVL $0, CX
 	CPUID
-	ANDL $(1<<12 | 1<<27 | 1<<28), CX
-	CMPL CX, $(1<<12 | 1<<27 | 1<<28)
-	JNE  no
+	MOVL CX, R8
+	ANDL $(1<<27 | 1<<28), CX
+	CMPL CX, $(1<<27 | 1<<28)
+	JNE  done
 
 	MOVL   $0, CX
 	XGETBV
 	ANDL   $6, AX
 	CMPL   AX, $6
-	JNE    no
+	JNE    done
+
+	TESTL $(1<<12), R8
+	SETNE fma+1(FP)
 
 	MOVL  $7, AX
 	MOVL  $0, CX
 	CPUID
 	TESTL $(1<<5), BX
-	JZ    no
+	SETNE avx2+0(FP)
 
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
+done:
 	RET

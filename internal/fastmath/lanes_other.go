@@ -2,9 +2,12 @@
 
 package fastmath
 
-// hasLanes is false: the lane kernels exist only on amd64, so every other
-// platform runs the library for every element.
-const hasLanes = false
+// HasAVX2 and hasLanes are false: the AVX2 kernels exist only on amd64,
+// so every other platform runs the portable code.
+const (
+	HasAVX2  = false
+	hasLanes = false
+)
 
 // The kernels match the amd64 declarations so the slice entry points
 // compile everywhere; unreachable because every gate starts from hasLanes.

@@ -24,7 +24,7 @@ import (
 //	    writer; stdout-purity allows fmt.Print*/os.Stdout inside it.
 //
 // Unknown verbs and malformed annotations are reported as
-// bad-annotation findings, mirroring bad-ignore.
+// bad-annotation findings and grant nothing.
 
 // badAnnotationCheck is the reserved name for malformed //mobilint:
 // directives, emitted by the annotation parser rather than a check.
@@ -44,43 +44,10 @@ type pkgAnnotations struct {
 	bad []Finding
 }
 
-// annotations merges the per-package tables for a module universe.
-type annotations struct {
-	hotpath map[*ast.FuncDecl]bool
-	stdout  map[*ast.FuncDecl]string
-	cold    map[string]map[int]bool
-}
-
-func mergeAnnotations(pkgs []*Package) *annotations {
-	m := &annotations{
-		hotpath: map[*ast.FuncDecl]bool{},
-		stdout:  map[*ast.FuncDecl]string{},
-		cold:    map[string]map[int]bool{},
-	}
-	for _, pkg := range pkgs {
-		a := pkg.annotations()
-		for d := range a.hotpath {
-			m.hotpath[d] = true
-		}
-		for d, r := range a.stdout {
-			m.stdout[d] = r
-		}
-		for file, lines := range a.cold {
-			if m.cold[file] == nil {
-				m.cold[file] = map[int]bool{}
-			}
-			for l := range lines {
-				m.cold[file][l] = true
-			}
-		}
-	}
-	return m
-}
-
 // coldLine reports whether a //mobilint:coldstart directive covers a
 // statement starting at pos (directive on the same line, or on the
 // line above).
-func (a *annotations) coldLine(fset *token.FileSet, pos token.Pos) bool {
+func (a *pkgAnnotations) coldLine(fset *token.FileSet, pos token.Pos) bool {
 	p := fset.Position(pos)
 	lines := a.cold[p.Filename]
 	return lines != nil && (lines[p.Line] || lines[p.Line-1])

@@ -11,7 +11,7 @@ import (
 
 // Interprocedural layer: a static call graph over every module package
 // the loader has seen, used by the module-level checks (hotpath-alloc,
-// rng-split). The graph is conservative by construction:
+// goroutine-capture). The graph is conservative by construction:
 //
 //   - direct calls and method calls on concrete receivers resolve to
 //     exactly one target;
@@ -81,8 +81,7 @@ type CallSite struct {
 
 // Program is the module-wide view handed to module-level checks.
 type Program struct {
-	Fset    *token.FileSet
-	ModPath string
+	Fset *token.FileSet
 	// Pkgs is the package universe, sorted by import path. It covers
 	// the selected packages plus everything they transitively import
 	// inside the module, so call chains do not stop at package
@@ -90,27 +89,21 @@ type Program struct {
 	Pkgs  []*Package
 	Nodes []*FuncNode
 
-	byObj  map[*types.Func]*FuncNode
-	byLit  map[*ast.FuncLit]*FuncNode
-	byDecl map[*ast.FuncDecl]*FuncNode
-	named  []*types.Named
-	ann    *annotations
+	byObj map[*types.Func]*FuncNode
+	byLit map[*ast.FuncLit]*FuncNode
+	named []*types.Named
 }
 
 // buildProgram constructs the call graph over pkgs (the loader's
 // memoized universe).
-func buildProgram(fset *token.FileSet, modPath string, pkgs []*Package) *Program {
+func buildProgram(fset *token.FileSet, pkgs []*Package) *Program {
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
 	p := &Program{
-		Fset:    fset,
-		ModPath: modPath,
-		Pkgs:    pkgs,
-		byObj:   map[*types.Func]*FuncNode{},
-		byLit:   map[*ast.FuncLit]*FuncNode{},
-		byDecl:  map[*ast.FuncDecl]*FuncNode{},
+		Fset:  fset,
+		Pkgs:  pkgs,
+		byObj: map[*types.Func]*FuncNode{},
+		byLit: map[*ast.FuncLit]*FuncNode{},
 	}
-	p.ann = mergeAnnotations(pkgs)
-
 	// Pass 1: nodes for declared functions, then their literals.
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -122,7 +115,6 @@ func buildProgram(fset *token.FileSet, modPath string, pkgs []*Package) *Program
 				obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
 				n := &FuncNode{Pkg: pkg, Obj: obj, Decl: fd, Name: funcDisplayName(pkg, obj, fd)}
 				p.Nodes = append(p.Nodes, n)
-				p.byDecl[fd] = n
 				if obj != nil {
 					p.byObj[obj] = n
 				}

@@ -22,7 +22,7 @@ func loadGraphFixture(t *testing.T) *Program {
 	if _, err := ld.loadDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	return buildProgram(ld.fset, modPath, ld.allPackages())
+	return buildProgram(ld.fset, ld.allPackages())
 }
 
 // nodeNamed finds a node by its display name.

@@ -117,10 +117,11 @@ func newHotpathPass(mctx *ModuleContext) *hotpathPass {
 		scanned: map[*FuncNode]bool{},
 	}
 	for _, pkg := range h.prog.Pkgs {
+		hot := pkg.annotations().hotpath
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body != nil || !h.prog.ann.hotpath[fd] {
+				if !ok || fd.Body != nil || !hot[fd] {
 					continue
 				}
 				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
@@ -134,8 +135,8 @@ func newHotpathPass(mctx *ModuleContext) *hotpathPass {
 
 func (h *hotpathPass) run() {
 	var roots []*FuncNode
-	for decl := range h.prog.ann.hotpath {
-		if n := h.prog.byDecl[decl]; n != nil {
+	for _, n := range h.prog.Nodes {
+		if n.Decl != nil && n.Pkg.annotations().hotpath[n.Decl] {
 			roots = append(roots, n)
 		}
 	}
@@ -177,6 +178,7 @@ func (h *hotpathPass) coldSpans(n *FuncNode) []span {
 		}
 	}
 	info := n.Pkg.Info
+	ann := n.Pkg.annotations()
 	inspectOwn(n.Body(), func(node ast.Node) {
 		switch s := node.(type) {
 		case *ast.IfStmt:
@@ -194,7 +196,7 @@ func (h *hotpathPass) coldSpans(n *FuncNode) []span {
 				}
 			}
 		case ast.Stmt:
-			if h.prog.ann.coldLine(h.prog.Fset, s.Pos()) {
+			if ann.coldLine(h.prog.Fset, s.Pos()) {
 				add(s)
 			}
 		}

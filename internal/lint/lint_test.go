@@ -11,23 +11,12 @@ import (
 	"testing"
 )
 
-// fixtureBase is the import-path prefix of the fixture packages.
-const fixtureBase = "mobiwlan/internal/lint/testdata/src/"
-
-// fixtureConfig classifies the fixture packages the way the default
-// config classifies the real tree: determ and clean are "simulation"
-// packages, gocap is a "protocol" package, rngok plays internal/stats.
+// fixtureConfig lints one fixture package under testdata/src. Every
+// fixture's import path lies below <module>/internal/, so the
+// determinism checks apply to all of them, as to the real simulator;
+// the outside fixture is its own module, standing outside internal/.
 func fixtureConfig(dir string) Config {
-	return Config{
-		Dir:      filepath.Join("testdata", "src", dir),
-		Patterns: []string{"."},
-		DeterminismPkgs: []string{
-			fixtureBase + "determ",
-			fixtureBase + "clean",
-		},
-		ConcurrencyPkgs: []string{fixtureBase + "gocap"},
-		RNGAllowedPkgs:  []string{fixtureBase + "rngok"},
-	}
+	return Config{Dir: filepath.Join("testdata", "src", dir), Patterns: []string{"."}}
 }
 
 var wantRe = regexp.MustCompile(`// want ([a-z0-9-]+(?: [a-z0-9-]+)*)\s*$`)
@@ -74,16 +63,32 @@ func gotFindings(findings []Finding) map[string][]string {
 	return got
 }
 
+// fixtures lists every fixture package under testdata/src; a bad one
+// must fail the gate.
+var fixtures = []struct {
+	dir string
+	bad bool
+}{
+	{"determ", true}, {"rngbad", true}, {"rngok", false}, {"gocap", true},
+	{"modelcap", true}, {"errs", true}, {"clean", false}, {"nodoc", true},
+	{"hotpath", true}, {"rngflow", true}, {"stdoutpure", true},
+	{"graph", false}, {"outside", true},
+}
+
 // TestFixtures runs every check against each fixture package and
-// compares the findings with the // want markers in the sources.
+// compares the findings with the // want markers in the sources. A bad
+// fixture must carry at least one marker.
 func TestFixtures(t *testing.T) {
-	for _, dir := range []string{"determ", "rngbad", "rngok", "gocap", "modelcap", "errs", "clean", "nodoc", "hotpath", "rngflow", "stdoutpure", "graph"} {
-		t.Run(dir, func(t *testing.T) {
-			findings, err := Run(fixtureConfig(dir))
+	for _, fx := range fixtures {
+		t.Run(fx.dir, func(t *testing.T) {
+			findings, err := Run(fixtureConfig(fx.dir))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := wantMarkers(t, dir)
+			want := wantMarkers(t, fx.dir)
+			if fx.bad && len(want) == 0 {
+				t.Fatalf("bad fixture %s carries no // want marker", fx.dir)
+			}
 			got := gotFindings(findings)
 			for key, checks := range want {
 				if !reflect.DeepEqual(got[key], checks) {
@@ -99,47 +104,28 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestFixturesFailTheGate pins the acceptance property: the bad
-// fixture packages produce a non-empty finding list with file:line
-// positions, i.e. mobilint would exit non-zero on them.
+// TestFixturesFailTheGate pins the acceptance property: every bad
+// fixture yields findings, and each finding renders with its file:line
+// and check name.
 func TestFixturesFailTheGate(t *testing.T) {
-	for _, dir := range []string{"determ", "rngbad", "gocap", "modelcap", "errs", "badignore", "nodoc", "hotpath", "rngflow", "stdoutpure"} {
-		findings, err := Run(fixtureConfig(dir))
+	for _, fx := range fixtures {
+		if !fx.bad {
+			continue
+		}
+		findings, err := Run(fixtureConfig(fx.dir))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(findings) == 0 {
-			t.Errorf("%s: want findings, got none", dir)
+			t.Errorf("%s: want findings, got none", fx.dir)
 			continue
 		}
 		for _, f := range findings {
-			if f.Pos.Filename == "" || f.Pos.Line <= 0 {
-				t.Errorf("%s: finding without file:line: %+v", dir, f)
-			}
 			s := f.String()
-			if !strings.Contains(s, ".go:") || !strings.Contains(s, "["+f.Check+"]") {
-				t.Errorf("%s: unrenderable finding %q", dir, s)
+			if f.Pos.Filename == "" || f.Pos.Line <= 0 || !strings.Contains(s, ".go:") || !strings.Contains(s, "["+f.Check+"]") {
+				t.Errorf("%s: finding without file:line or check name: %q", fx.dir, s)
 			}
 		}
-	}
-}
-
-// TestBadIgnore checks that malformed or unknown-check directives are
-// reported and do not suppress the findings they sit next to.
-func TestBadIgnore(t *testing.T) {
-	findings, err := Run(fixtureConfig("badignore"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := map[string]int{}
-	for _, f := range findings {
-		count[f.Check]++
-	}
-	if count[badIgnoreCheck] != 2 {
-		t.Errorf("want 2 bad-ignore findings, got %d (%v)", count[badIgnoreCheck], findings)
-	}
-	if count["discarded-error"] != 2 {
-		t.Errorf("malformed directives must not suppress: want 2 discarded-error findings, got %d", count["discarded-error"])
 	}
 }
 
@@ -173,7 +159,7 @@ func TestUnknownCheck(t *testing.T) {
 }
 
 // TestCheckNamesUniqueAndDocumented guards the registry invariants
-// the suppression syntax and -list output rely on.
+// the -checks flag and -list output rely on.
 func TestCheckNamesUniqueAndDocumented(t *testing.T) {
 	seen := map[string]bool{}
 	for _, c := range Checks {
@@ -191,8 +177,8 @@ func TestCheckNamesUniqueAndDocumented(t *testing.T) {
 			t.Errorf("check name %q not a lowercase token", c.Name)
 		}
 	}
-	if seen[badIgnoreCheck] {
-		t.Errorf("%s is reserved for the directive parser", badIgnoreCheck)
+	if seen[badAnnotationCheck] {
+		t.Errorf("%s is reserved for the annotation parser", badAnnotationCheck)
 	}
 }
 
@@ -234,24 +220,4 @@ func TestHotpathChainReported(t *testing.T) {
 		return
 	}
 	t.Fatalf("no hotpath-alloc finding for the fmt.Sprintf chain in %v", findings)
-}
-
-// TestModuleIsCleanV2 runs only the three interprocedural contracts
-// over the real tree: annotations plus code must satisfy them with no
-// suppressions pending. Skipped in -short mode like TestModuleIsClean.
-func TestModuleIsCleanV2(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; covered by the CI mobilint step")
-	}
-	cfg := Config{
-		Dir:    "../..",
-		Checks: []string{"hotpath-alloc", "rng-split", "stdout-purity"},
-	}
-	findings, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		t.Errorf("%s", f)
-	}
 }

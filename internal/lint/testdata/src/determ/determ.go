@@ -5,7 +5,7 @@ package determ
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand" // want math-rand
 	"sort"
 	"strings"
 	"time"
@@ -28,7 +28,7 @@ func Wait() {
 
 // Draw consumes the implicitly seeded global math/rand stream.
 func Draw() int {
-	return rand.Intn(6) // want math-rand
+	return rand.Intn(6)
 }
 
 // Keys leaks map iteration order into a slice.
@@ -66,10 +66,4 @@ func Total(m map[string]int) int {
 		t += v
 	}
 	return t
-}
-
-// Suppressed demonstrates a justified suppression.
-func Suppressed() int64 {
-	//lint:ignore time-now fixture demonstrates the suppression syntax
-	return time.Now().Unix()
 }

@@ -44,12 +44,6 @@ func Explicit() {
 	_ = work()
 }
 
-// Suppressed documents why the error cannot matter here.
-func Suppressed() {
-	//lint:ignore discarded-error fixture demonstrates the suppression syntax
-	work()
-}
-
 // Builders never fail, so dropping their errors is conventional.
 func Builders() string {
 	var b strings.Builder

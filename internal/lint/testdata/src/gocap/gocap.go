@@ -1,5 +1,5 @@
-// Package gocap exercises the go-capture check: goroutines must not
-// share a raw connection with their spawner.
+// Package gocap exercises goroutine-capture's conn rule: goroutines
+// must not share a raw connection with their spawner.
 package gocap
 
 import (
@@ -22,7 +22,7 @@ type bare struct {
 // Leak spawns a goroutine that shares conn with the caller.
 func Leak(conn net.Conn, b []byte) {
 	go func() {
-		_, _ = conn.Write(b) // want go-capture
+		_, _ = conn.Write(b) // want goroutine-capture
 	}()
 	_, _ = conn.Write(b)
 }
@@ -30,7 +30,7 @@ func Leak(conn net.Conn, b []byte) {
 // LeakHolder captures an unsynchronized conn holder.
 func LeakHolder(h *bare, b []byte) {
 	go func() {
-		_, _ = h.conn.Write(b) // want go-capture
+		_, _ = h.conn.Write(b) // want goroutine-capture
 	}()
 }
 
@@ -51,14 +51,5 @@ func Synchronized(s *session, b []byte) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		_, _ = s.conn.Write(b)
-	}()
-}
-
-// Acknowledged shows the suppression escape hatch for a deliberate
-// ownership transfer into a closure.
-func Acknowledged(conn net.Conn) {
-	go func() {
-		//lint:ignore go-capture the reader goroutine owns conn from spawn to close
-		_ = conn.Close()
 	}()
 }

@@ -1,7 +1,8 @@
-// Package modelcap exercises the model-capture check: a channel.Model
-// memoizes its frequency response in a single-owner cache, so a
-// goroutine must not capture a model — or a lock-free holder such as
-// mac.Link — from its spawner.
+// Package modelcap exercises goroutine-capture's model rule: a
+// channel.Model memoizes its frequency response in a single-owner
+// cache, so a closure that reaches a goroutine — by a go statement or
+// as parallel.RunTrials' trial function — must not capture a model, or
+// a lock-free holder such as mac.Link, from its spawner.
 package modelcap
 
 import (
@@ -10,6 +11,7 @@ import (
 	"mobiwlan/internal/channel"
 	"mobiwlan/internal/mac"
 	"mobiwlan/internal/mobility"
+	"mobiwlan/internal/parallel"
 	"mobiwlan/internal/stats"
 )
 
@@ -23,7 +25,7 @@ type owner struct {
 // Leak spawns a goroutine that shares the spawner's model.
 func Leak(m *channel.Model, out chan<- float64) {
 	go func() {
-		out <- m.MeanRSSI(0) // want model-capture
+		out <- m.MeanRSSI(0) // want goroutine-capture
 	}()
 }
 
@@ -31,7 +33,7 @@ func Leak(m *channel.Model, out chan<- float64) {
 // one field deep.
 func LeakLink(l *mac.Link, out chan<- float64) {
 	go func() {
-		out <- l.Chan.MeanRSSI(0) // want model-capture
+		out <- l.Chan.MeanRSSI(0) // want goroutine-capture
 	}()
 }
 
@@ -59,18 +61,32 @@ func Synchronized(o *owner, out chan<- float64) {
 // split-off RNG — the pattern the
 // worker pool and the controller example use: allowed.
 func Fresh(cfg channel.Config, scen *mobility.Scenario, rng *stats.RNG, out chan<- float64) {
-	child := rng.Split()
+	child := rng.Split(1)
 	go func() {
 		m := channel.New(cfg, scen, child)
 		out <- m.MeanRSSI(0)
 	}()
 }
 
-// Acknowledged shows the suppression escape hatch for a deliberate
-// ownership transfer into a closure.
-func Acknowledged(m *channel.Model, out chan<- float64) {
-	go func() {
-		//lint:ignore model-capture the goroutine owns the model from spawn to exit
-		out <- m.MeanRSSI(0)
-	}()
+// SharedTrials hands one model to every trial: RunTrials runs the
+// trial function on worker goroutines, so the trials race on it.
+func SharedTrials(m *channel.Model, jobs int) []float64 {
+	return parallel.RunTrials(4, jobs, func(trial int) float64 {
+		return m.MeanRSSI(float64(trial)) // want goroutine-capture
+	})
+}
+
+// SharedLinkTrials shares a mac.Link, and so its model, likewise.
+func SharedLinkTrials(l *mac.Link, jobs int) []float64 {
+	return parallel.RunTrials(4, jobs, func(trial int) float64 {
+		return l.Chan.MeanRSSI(float64(trial)) // want goroutine-capture
+	})
+}
+
+// TrialModels builds one model per trial from a split-off RNG, the
+// experiments' pattern: allowed.
+func TrialModels(cfg channel.Config, scen *mobility.Scenario, rng *stats.RNG, jobs int) []float64 {
+	return parallel.RunTrials(4, jobs, func(trial int) float64 {
+		return channel.New(cfg, scen, rng.Split(uint64(trial))).MeanRSSI(0)
+	})
 }

@@ -1,6 +1,6 @@
-// Package rngflow exercises the rng-split check: a *stats.RNG must be
-// Split before it crosses a goroutine or worker-pool boundary, traced
-// interprocedurally through function-typed parameters.
+// Package rngflow exercises goroutine-capture's RNG rule: a *stats.RNG
+// must be Split before it crosses a goroutine or worker-pool boundary,
+// traced interprocedurally through function-typed parameters.
 package rngflow
 
 import (
@@ -13,13 +13,13 @@ import (
 // closure: racy and order-dependent.
 func BadCapture(rng *stats.RNG, out chan<- float64) {
 	go func() {
-		out <- rng.Float64() // want rng-split
+		out <- rng.Float64() // want goroutine-capture
 	}()
 }
 
 // BadHandoff passes the un-split parent into a spawned worker.
 func BadHandoff(rng *stats.RNG, out chan<- float64) {
-	go draw(rng, out) // want rng-split
+	go draw(rng, out) // want goroutine-capture
 }
 
 func draw(r *stats.RNG, out chan<- float64) { out <- r.Float64() }
@@ -38,7 +38,7 @@ func pool(n int, fn func(i int)) {
 // BadPool draws from the shared parent inside a pool closure.
 func BadPool(rng *stats.RNG, out []float64) {
 	pool(len(out), func(i int) {
-		out[i] = rng.Float64() // want rng-split
+		out[i] = rng.Float64() // want goroutine-capture
 	})
 }
 

@@ -1,10 +1,11 @@
-// Package rngok stands in for internal/stats: a package on the
-// RNG-construction allowlist. mobilint must report nothing here.
+// Package rngok builds its generator the sanctioned way, by splitting a
+// stats.RNG derived from the experiment seed. mobilint must report
+// nothing here.
 package rngok
 
-import "math/rand"
+import "mobiwlan/internal/stats"
 
-// Source is allowed: this package owns generator construction.
-func Source(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+// Source derives a private stream from the experiment seed.
+func Source(seed uint64) *stats.RNG {
+	return stats.NewRNG(seed).Split(1)
 }

@@ -316,11 +316,11 @@ func BenchmarkRoamingRunSecond(b *testing.B) {
 	cfg := mobility.DefaultSceneConfig()
 	cfg.Duration = 1
 	scen := mobility.NewScenario(mobility.Macro, cfg, stats.NewRNG(5))
-	runner := roaming.NewRunner(roaming.DefaultPlan())
+	opt := sim.DefaultWLANOptions(false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runner.Run(scen, roaming.NewMobilityAware(), uint64(i))
+		_ = sim.RunRoaming(scen, roaming.NewMobilityAware(), opt, uint64(i))
 	}
 }
 

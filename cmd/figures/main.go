@@ -27,7 +27,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,11 +37,6 @@ import (
 	"mobiwlan/internal/parallel"
 )
 
-// traceRingCap bounds each trial's in-memory event ring when -trace is
-// set; overflow counts are reported on stderr rather than growing the
-// heap mid-run.
-const traceRingCap = 4096
-
 //mobilint:stdout figures prints the generated artifact paths for the paper build
 func main() {
 	var (
@@ -52,11 +46,7 @@ func main() {
 		jobs     = flag.Int("jobs", parallel.DefaultJobs(), "max concurrent workers (trials and experiments)")
 		csvDir   = flag.String("csv", "", "directory to write per-figure CSV series into")
 		listOnly = flag.Bool("list", false, "list experiment IDs and exit")
-
-		metrics     = flag.Bool("metrics", false, "dump the metric registry as text to stderr at exit")
-		metricsJSON = flag.String("metrics-json", "", "write the metric registry as JSON to this file at exit")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/ on this address during the run")
-		traceOut    = flag.String("trace", "", "write the merged per-trial event trace as JSONL to this file at exit")
+		ofl      = obs.AddFlags(flag.CommandLine, "figures")
 	)
 	flag.Parse()
 
@@ -86,27 +76,8 @@ func main() {
 		runners[i] = runner
 	}
 
-	cfg := experiments.Config{Seed: *seed, Scale: *scale, Jobs: *jobs}
-
-	// Telemetry scope: shared by every experiment of the run. The trace
-	// ring only needs memory when -trace asked for the events.
-	var scope *obs.Scope
-	if *metrics || *metricsJSON != "" || *metricsAddr != "" || *traceOut != "" {
-		cap := 0
-		if *traceOut != "" {
-			cap = traceRingCap
-		}
-		scope = obs.NewScope(cap)
-		cfg.Obs = scope
-	}
-	if *metricsAddr != "" {
-		addr, _, err := obs.Serve(*metricsAddr, scope.Registry())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: metrics listener: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "figures: serving metrics on http://%s/metrics\n", addr)
-	}
+	// One telemetry scope is shared by every experiment of the run.
+	cfg := experiments.Config{Seed: *seed, Scale: *scale, Jobs: *jobs, Obs: ofl.Scope()}
 
 	// Independent experiment IDs run concurrently under the same worker
 	// bound; results are collected and printed in request order so stdout
@@ -135,53 +106,7 @@ func main() {
 			}
 		}
 	}
-
-	if scope != nil {
-		if err := dumpTelemetry(scope, *metrics, *metricsJSON, *traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// dumpTelemetry writes the end-of-run metric and trace dumps. Everything
-// lands on stderr or in files so stdout stays byte-identical with
-// telemetry enabled.
-func dumpTelemetry(scope *obs.Scope, text bool, jsonPath, tracePath string) error {
-	if text {
-		if err := scope.Reg.WriteText(os.Stderr); err != nil {
-			return err
-		}
-	}
-	if jsonPath != "" {
-		if err := writeToFile(jsonPath, scope.Reg.WriteJSON); err != nil {
-			return err
-		}
-	}
-	if tracePath != "" {
-		if err := writeToFile(tracePath, scope.Trials.WriteJSONL); err != nil {
-			return err
-		}
-		if d := scope.Trials.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr,
-				"figures: trace rings dropped %d events (oldest are overwritten once a trial exceeds %d events)\n",
-				d, traceRingCap)
-		}
-	}
-	return nil
-}
-
-// writeToFile creates path and streams write into it.
-func writeToFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
+	ofl.Finish()
 }
 
 func writeCSV(dir string, res experiments.Result) error {

@@ -32,6 +32,7 @@ import (
 	"mobiwlan/internal/geom"
 	"mobiwlan/internal/mac"
 	"mobiwlan/internal/mobility"
+	"mobiwlan/internal/obs"
 	"mobiwlan/internal/ratecontrol"
 	"mobiwlan/internal/roaming"
 	"mobiwlan/internal/scenario"
@@ -100,7 +101,7 @@ func cmdFleet(args []string) {
 	channels := fs.Int("channels", 0, "channel count for the contended plan (0 = 3)")
 	csRange := fs.Float64("cs-range", 0, "AP-to-AP carrier-sense range in meters (0 = 25)")
 	maxAPs := fs.Int("max-aps", 0, "APs each contended client simulates links to (0 = all)")
-	ofl := addObsFlags(fs)
+	ofl := obs.AddFlags(fs, "mobisim")
 	parseArgs(fs, args)
 
 	opt := sim.FleetOptions{
@@ -199,7 +200,7 @@ func cmdClassify(args []string) {
 	mode := fs.String("mode", "macro", "ground-truth scenario mode")
 	duration := fs.Float64("duration", 30, "seconds")
 	seed := fs.Uint64("seed", 1, "RNG seed")
-	ofl := addObsFlags(fs)
+	ofl := obs.AddFlags(fs, "mobisim")
 	parseArgs(fs, args)
 
 	scen, err := buildScenario(*mode, *duration, *seed)
@@ -230,7 +231,7 @@ func cmdLink(args []string) {
 	aware := fs.Bool("motion-aware", false, "use the mobility-aware stack")
 	traffic := fs.String("traffic", "udp", "udp|tcp|cbr:<Mbps>")
 	power := fs.Float64("power", channel.DefaultConfig().TxPowerDBm, "AP transmit power (dBm)")
-	ofl := addObsFlags(fs)
+	ofl := obs.AddFlags(fs, "mobisim")
 	parseArgs(fs, args)
 
 	scen, err := buildScenario(*mode, *duration, *seed)
@@ -277,7 +278,7 @@ func cmdWLAN(args []string) {
 	fs := flag.NewFlagSet("wlan", flag.ExitOnError)
 	duration := fs.Float64("duration", 30, "seconds")
 	seed := fs.Uint64("seed", 1, "RNG seed")
-	ofl := addObsFlags(fs)
+	ofl := obs.AddFlags(fs, "mobisim")
 	parseArgs(fs, args)
 
 	cfg := mobility.DefaultSceneConfig()
@@ -308,7 +309,7 @@ func cmdRoam(args []string) {
 	fs := flag.NewFlagSet("roam", flag.ExitOnError)
 	duration := fs.Float64("duration", 40, "seconds")
 	seed := fs.Uint64("seed", 1, "RNG seed")
-	ofl := addObsFlags(fs)
+	ofl := obs.AddFlags(fs, "mobisim")
 	parseArgs(fs, args)
 
 	cfg := mobility.DefaultSceneConfig()
@@ -317,14 +318,14 @@ func cmdRoam(args []string) {
 	scen.Label = mobility.Macro
 	scen.Client = mobility.WaypointWalk{Path: crossFloorPath(), Speed: 1.4, PingPong: true}
 
-	runner := roaming.NewRunner(roaming.DefaultPlan())
-	runner.Obs = ofl.Scope()
+	opt := sim.DefaultWLANOptions(false)
+	opt.Obs = ofl.Scope()
 	defer ofl.Finish()
 	for pi, pol := range []roaming.Policy{
 		roaming.NewDefault80211(), roaming.NewSensorHint(), roaming.NewMobilityAware(),
 	} {
-		runner.Trial = pi
-		res := runner.Run(scen, pol, *seed+9)
+		opt.Trial = pi
+		res := sim.RunRoaming(scen, pol, opt, *seed+9)
 		fmt.Printf("%-16s %.1f Mbps (%d handoffs, %d scans)\n",
 			pol.Name(), res.Mbps, res.Handoffs, res.Scans)
 	}
@@ -337,7 +338,7 @@ func cmdSUBF(args []string) {
 	duration := fs.Float64("duration", 10, "seconds")
 	seed := fs.Uint64("seed", 1, "RNG seed")
 	period := fs.Float64("period", 20, "CSI feedback period (ms); 0 = mobility-adaptive")
-	ofl := addObsFlags(fs)
+	ofl := obs.AddFlags(fs, "mobisim")
 	parseArgs(fs, args)
 
 	scen, err := buildScenario(*mode, *duration+6, *seed)
@@ -352,15 +353,7 @@ func cmdSUBF(args []string) {
 	var stateAt func(float64) core.State
 	if *period == 0 {
 		sched = beamforming.Adaptive{}
-		decisions := core.RunScenario(scen, core.DefaultPipelineConfig(), *seed+4)
-		stateAt = func(t float64) core.State {
-			for i := len(decisions) - 1; i >= 0; i-- {
-				if decisions[i].Time <= t {
-					return decisions[i].State
-				}
-			}
-			return core.StateUnknown
-		}
+		stateAt = core.StateAt(core.RunScenario(scen, core.DefaultPipelineConfig(), *seed+4))
 	}
 	suCfg := beamforming.DefaultSUConfig()
 	suCfg.Obs = ofl.Scope()
@@ -382,7 +375,7 @@ func cmdMUMIMO(args []string) {
 	duration := fs.Float64("duration", 8, "seconds")
 	seed := fs.Uint64("seed", 1, "RNG seed")
 	period := fs.Float64("period", 20, "common CSI feedback period (ms); 0 = per-client adaptive")
-	ofl := addObsFlags(fs)
+	ofl := obs.AddFlags(fs, "mobisim")
 	parseArgs(fs, args)
 
 	modes := []mobility.Mode{mobility.Environmental, mobility.Micro, mobility.Macro}
@@ -403,16 +396,8 @@ func cmdMUMIMO(args []string) {
 		chCfg.TxPowerDBm = 4
 		u := beamforming.MUUser{Chan: channel.NewAt(chCfg, mcfg.AP, scen, rng.Split(9))}
 		if *period == 0 {
-			decisions := core.RunScenario(scen, core.DefaultPipelineConfig(), *seed+uint64(i))
 			u.Sched = beamforming.Adaptive{Table: beamforming.MUAdaptiveTable}
-			u.StateAt = func(t float64) core.State {
-				for j := len(decisions) - 1; j >= 0; j-- {
-					if decisions[j].Time <= t {
-						return decisions[j].State
-					}
-				}
-				return core.StateUnknown
-			}
+			u.StateAt = core.StateAt(core.RunScenario(scen, core.DefaultPipelineConfig(), *seed+uint64(i)))
 		} else {
 			u.Sched = beamforming.FixedFeedback{T: *period / 1000}
 		}

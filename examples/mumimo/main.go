@@ -44,16 +44,8 @@ func main() {
 			if adaptive {
 				// The AP classifies each client from its uplink CSI/ToF and
 				// sounds it at the Table 2 period for its mobility state.
-				decisions := core.RunScenario(scen, core.DefaultPipelineConfig(), uint64(i)+55)
 				u.Sched = beamforming.Adaptive{Table: beamforming.MUAdaptiveTable}
-				u.StateAt = func(t float64) core.State {
-					for j := len(decisions) - 1; j >= 0; j-- {
-						if decisions[j].Time <= t {
-							return decisions[j].State
-						}
-					}
-					return core.StateUnknown
-				}
+				u.StateAt = core.StateAt(core.RunScenario(scen, core.DefaultPipelineConfig(), uint64(i)+55))
 			} else {
 				u.Sched = beamforming.FixedFeedback{T: 20e-3}
 			}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"mobiwlan/internal/channel"
 	"mobiwlan/internal/csi"
 	"mobiwlan/internal/mobility"
@@ -36,6 +38,19 @@ type Decision struct {
 	Time  float64
 	State State
 	Truth State
+}
+
+// StateAt returns a lookup over RunScenario's decisions, which are in
+// time order: the state of the last decision at or before t, and
+// StateUnknown before the first.
+func StateAt(decisions []Decision) func(t float64) State {
+	return func(t float64) State {
+		i := sort.Search(len(decisions), func(i int) bool { return decisions[i].Time > t })
+		if i == 0 {
+			return StateUnknown
+		}
+		return decisions[i-1].State
+	}
 }
 
 // RunScenario drives the full measurement-and-classification pipeline over

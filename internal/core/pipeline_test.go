@@ -28,6 +28,24 @@ func TestRunScenarioProducesDecisions(t *testing.T) {
 	}
 }
 
+func TestStateAt(t *testing.T) {
+	at := StateAt([]Decision{{Time: 0.5, State: StateStatic}, {Time: 1, State: StateMicro}, {Time: 1.5, State: StateMacroAway}})
+	for _, c := range []struct {
+		t    float64
+		want State
+	}{
+		{0, StateUnknown}, {0.5, StateStatic}, {0.99, StateStatic}, {1, StateMicro},
+		{1.2, StateMicro}, {1.5, StateMacroAway}, {9, StateMacroAway},
+	} {
+		if got := at(c.t); got != c.want {
+			t.Errorf("StateAt(%v) = %v, want %v", c.t, got, c.want)
+		}
+	}
+	if got := StateAt(nil)(1); got != StateUnknown {
+		t.Errorf("no decisions: got %v, want %v", got, StateUnknown)
+	}
+}
+
 func TestRunScenarioDeterministic(t *testing.T) {
 	a := runMode(mobility.Macro, 3, 12)
 	b := runMode(mobility.Macro, 3, 12)

@@ -136,12 +136,12 @@ func Ablation80211r(cfg Config) Result {
 	dur := cfg.scaleDur(40, 20)
 	walks := crossFloorWalks(runs, dur, cfg.rng(2100))
 	measure := func(handoffCost float64) (mbps, outage float64) {
-		runner := roaming.NewRunner(roaming.DefaultPlan())
-		runner.HandoffCost = handoffCost
+		opt := sim.DefaultWLANOptions(false)
+		opt.HandoffCost = handoffCost
 		type walkRes struct{ mbps, outage float64 }
 		var ms, outs []float64
 		for _, w := range parallel.RunTrials(len(walks), cfg.jobs(), func(r int) walkRes {
-			res := runner.Run(walks[r], roaming.NewMobilityAware(), cfg.Seed+uint64(r))
+			res := sim.RunRoaming(walks[r], roaming.NewMobilityAware(), opt, cfg.Seed+uint64(r))
 			return walkRes{mbps: res.Mbps, outage: float64(res.Handoffs) * handoffCost}
 		}) {
 			ms = append(ms, w.mbps)

@@ -34,30 +34,6 @@ func bfChannel(scen *mobility.Scenario, seed uint64) *channel.Model {
 	return channel.New(chCfg, scen, stats.NewRNG(seed))
 }
 
-// classifierStateFunc runs the full classification pipeline over the
-// scenario once and returns a lookup of the classifier's decision at any
-// time — how the paper's adaptive feedback learns each client's mode.
-func classifierStateFunc(scen *mobility.Scenario, seed uint64) func(t float64) core.State {
-	decisions := core.RunScenario(scen, core.DefaultPipelineConfig(), seed)
-	return func(t float64) core.State {
-		// Decisions are ~50 ms apart; linear scan from an index guess.
-		if len(decisions) == 0 {
-			return core.StateUnknown
-		}
-		i := int(t / 0.05)
-		if i >= len(decisions) {
-			i = len(decisions) - 1
-		}
-		for i > 0 && decisions[i].Time > t {
-			i--
-		}
-		for i+1 < len(decisions) && decisions[i+1].Time <= t {
-			i++
-		}
-		return decisions[i].State
-	}
-}
-
 // Figure11a reproduces SU-beamforming throughput versus the CSI feedback
 // period for each mobility mode: static links prefer rare sounding (the
 // overhead dominates), mobile links collapse with stale beams.
@@ -124,7 +100,7 @@ func Figure11b(cfg Config) Result {
 		parallel.RunTrials(links, cfg.jobs(), func(l int) []float64 {
 			v := mobileVariants[l%len(mobileVariants)]
 			scen := variantScene(v, l, dur+6, rng.Split(uint64(l)))
-			stateAt := classifierStateFunc(scen, cfg.Seed+uint64(l))
+			stateAt := core.StateAt(core.RunScenario(scen, core.DefaultPipelineConfig(), cfg.Seed+uint64(l)))
 			suCfg := beamforming.DefaultSUConfig()
 			suCfg.Obs = cfg.Obs
 			chA := bfChannel(scen, cfg.Seed+uint64(l)*7)
@@ -186,7 +162,7 @@ func muTrio(cfg Config, idx int, duration float64, periods [3]float64, useAdapti
 		u := beamforming.MUUser{Chan: ch}
 		if useAdaptive {
 			u.Sched = beamforming.Adaptive{Table: beamforming.MUAdaptiveTable}
-			u.StateAt = classifierStateFunc(scen, cfg.Seed+uint64(idx)*13+uint64(i))
+			u.StateAt = core.StateAt(core.RunScenario(scen, core.DefaultPipelineConfig(), cfg.Seed+uint64(idx)*13+uint64(i)))
 		} else {
 			u.Sched = beamforming.FixedFeedback{T: periods[i]}
 		}

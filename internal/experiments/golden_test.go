@@ -29,7 +29,10 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace files under 
 // Gaussians plus one RSSI draw) per roaming tick from the current AP's
 // noise stream, so any golden that exercised RunWLAN would have shifted.
 // None of the cases here do — the committed files were regenerated with
-// -update after that change and came out byte-identical. The
+// -update after that change and came out byte-identical. sim.RunRoaming
+// (fig7b, abl-80211r) shares RunWLAN's roaming tick but still takes that
+// separate serving-AP reading before each tick's observation; dropping it
+// would move both roaming goldens, so it waits for a model change. The
 // coherence-aware channel cache, by contrast, is bit-identical by design
 // (it never touches a noise RNG) and left these files unchanged with the
 // cache enabled.
@@ -51,6 +54,11 @@ var goldenCases = []struct {
 	// Mode x speed x CSI-SNR robustness sweep: pins the confusion structure
 	// of the paper's thresholds away from the calibrated operating point.
 	{id: "robust", scale: 0.12, slow: true},
+	// Roaming canon: the three policies' throughput CDFs over cross-floor
+	// walks, and motion-aware roaming under stock vs 802.11r handoff cost.
+	// Both run sim.RunRoaming through scans and handoffs.
+	{id: "fig7b", scale: 0.15},
+	{id: "abl-80211r", scale: 0.15},
 }
 
 // goldenSeed is fixed and disjoint from the calibration seeds used inside

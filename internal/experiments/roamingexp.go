@@ -10,6 +10,7 @@ import (
 	"mobiwlan/internal/parallel"
 	"mobiwlan/internal/phy"
 	"mobiwlan/internal/roaming"
+	"mobiwlan/internal/sim"
 	"mobiwlan/internal/stats"
 )
 
@@ -215,7 +216,8 @@ func crossFloorWalks(n int, duration float64, rng *stats.RNG) []*mobility.Scenar
 func Figure7b(cfg Config) Result {
 	runs := cfg.scaleInt(15, 4)
 	dur := cfg.scaleDur(40, 20)
-	runner := roaming.NewRunner(roaming.DefaultPlan())
+	opt := sim.DefaultWLANOptions(false)
+	opt.Obs = cfg.Obs
 	walks := crossFloorWalks(runs, dur, cfg.rng(710))
 
 	type policyCase struct {
@@ -231,12 +233,10 @@ func Figure7b(cfg Config) Result {
 	medians := map[string]float64{}
 	for ci, pc := range cases {
 		mbps := parallel.RunTrials(len(walks), cfg.jobs(), func(r int) float64 {
-			// Per-trial runner copy: concurrent trials must not share a
-			// tracer key, and Runner fields are plain configuration.
-			rn := *runner
-			rn.Obs = cfg.Obs
-			rn.Trial = trialsFig7b + ci*100_000 + r
-			return rn.Run(walks[r], pc.mk(), cfg.Seed+uint64(r)).Mbps
+			// Concurrent trials must not share a tracer key.
+			o := opt
+			o.Trial = trialsFig7b + ci*100_000 + r
+			return sim.RunRoaming(walks[r], pc.mk(), o, cfg.Seed+uint64(r)).Mbps
 		})
 		medians[pc.name] = stats.Median(mbps)
 		series = append(series, stats.CDFSeries(pc.name, mbps, 25))

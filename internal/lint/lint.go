@@ -178,7 +178,9 @@ func (ctx *Context) PkgFunc(e ast.Expr) (pkgPath, name string, ok bool) {
 
 // Run lints the packages selected by cfg and returns the findings
 // sorted by position. A non-empty result means the gate fails; errors
-// are loader/config problems, not findings.
+// are loader/config problems, not findings. A package that does not
+// type-check, selected or imported, is an error: the checks would run on
+// partial type information.
 func Run(cfg Config) ([]Finding, error) {
 	if cfg.Dir == "" {
 		cfg.Dir = "."
@@ -212,14 +214,21 @@ func Run(cfg Config) ([]Finding, error) {
 		return nil, err
 	}
 	ld := newLoader(root, modPath)
+	pkgs := make([]*Package, len(dirs))
+	for i, dir := range dirs {
+		if pkgs[i], err = ld.loadDir(dir); err != nil {
+			return nil, err
+		}
+	}
+	for _, pkg := range ld.allPackages() {
+		if pkg.TypeErr != nil {
+			return nil, fmt.Errorf("lint: %s does not type-check: %w", pkg.ImportPath, pkg.TypeErr)
+		}
+	}
 
 	var findings []Finding
 	selDirs := map[string]bool{}
-	for _, dir := range dirs {
-		pkg, err := ld.loadDir(dir)
-		if err != nil {
-			return nil, err
-		}
+	for _, pkg := range pkgs {
 		selDirs[pkg.Dir] = true
 		findings = append(findings, pkg.annotations().bad...)
 		for _, check := range enabled {

@@ -72,7 +72,7 @@ var fixtures = []struct {
 	{"determ", true}, {"rngbad", true}, {"rngok", false}, {"gocap", true},
 	{"modelcap", true}, {"errs", true}, {"clean", false}, {"nodoc", true},
 	{"hotpath", true}, {"rngflow", true}, {"stdoutpure", true},
-	{"graph", false}, {"outside", true},
+	{"graph", false}, {"outside", true}, {"buildtags", false},
 }
 
 // TestFixtures runs every check against each fixture package and
@@ -101,6 +101,15 @@ func TestFixtures(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTypeErrorFailsRun pins that a package which does not type-check
+// is a Run error naming the package, not a silent pass.
+func TestTypeErrorFailsRun(t *testing.T) {
+	_, err := Run(fixtureConfig("typeerr"))
+	if err == nil || !strings.Contains(err.Error(), "internal/lint/testdata/src/typeerr does not type-check") {
+		t.Fatalf("want a type-check error naming the package, got %v", err)
 	}
 }
 

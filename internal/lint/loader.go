@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -24,13 +25,11 @@ type Package struct {
 	Fset *token.FileSet
 	// Files holds the parsed non-test sources, in file-name order.
 	Files []*ast.File
-	// Types and Info carry the go/types results. Type errors are
-	// tolerated (Info may be partial for broken code); checks must
-	// handle nil types.
+	// Types and Info carry the go/types results.
 	Types *types.Package
 	Info  *types.Info
-	// TypeErr records the first type-checking error, if any, for
-	// diagnostics. A non-nil TypeErr does not stop linting.
+	// TypeErr records the first type-checking error, if any. Run fails
+	// on it: checks over partial type information pass vacuously.
 	TypeErr error
 
 	// ann caches the parsed //mobilint: directives (see annotations()).
@@ -150,8 +149,8 @@ func (l *loader) loadDir(dir string) (*Package, error) {
 	conf := types.Config{
 		Importer:    l,
 		FakeImportC: true,
-		// Tolerate type errors: checks degrade gracefully on partial
-		// Info, and a broken build is go build's job to report.
+		// Keep checking past the first error so the loader still
+		// returns a package; Run reports TypeErr.
 		Error: func(err error) {
 			if firstErr == nil {
 				firstErr = err
@@ -184,7 +183,9 @@ func (l *loader) allPackages() []*Package {
 	return pkgs
 }
 
-// goFilesIn lists the non-test .go files in dir, sorted.
+// goFilesIn lists the non-test .go files in dir that go build would
+// compile for the target GOOS/GOARCH (file-name suffixes and //go:build
+// lines, via build.Default), sorted.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -193,11 +194,16 @@ func goFilesIn(dir string) ([]string, error) {
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		names = append(names, name)
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+		if match {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names, nil

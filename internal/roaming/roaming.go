@@ -1,21 +1,18 @@
-// Package roaming implements the paper's §3 client-roaming study: a
-// multi-AP floor plan, the default 802.11 client association behaviour,
-// the sensor-hint client-side roaming of paper ref. [1], and the paper's
-// controller-based mobility-aware roaming protocol that forces a handoff
-// only when the client is walking away from its AP and a better candidate
-// (stronger signal, client heading toward it) exists.
+// Package roaming holds the policy side of the paper's §3 client-roaming
+// study: a multi-AP floor plan, the default 802.11 client association
+// behaviour, the sensor-hint client-side roaming of paper ref. [1], and
+// the paper's controller-based mobility-aware roaming protocol that forces
+// a handoff only when the client is walking away from its AP and a better
+// candidate (stronger signal, client heading toward it) exists. The
+// client loop that feeds the policies is sim's (sim.RunRoaming and the
+// WLAN client).
 package roaming
 
 import (
 	"mobiwlan/internal/channel"
 	"mobiwlan/internal/core"
-	"mobiwlan/internal/csi"
 	"mobiwlan/internal/geom"
-	"mobiwlan/internal/mobility"
-	"mobiwlan/internal/obs"
 	"mobiwlan/internal/phy"
-	"mobiwlan/internal/stats"
-	"mobiwlan/internal/tof"
 )
 
 // Plan is the WLAN deployment: AP positions on the shared floor.
@@ -254,175 +251,4 @@ func ExpectedThroughput(effSNRdB float64, maxStreams int) float64 {
 	tput := phy.Throughput(m, phy.Width40, true, effSNRdB, 1500)
 	const macEfficiency = 0.75 // preamble/IFS/BlockAck amortized over A-MPDUs
 	return tput * macEfficiency
-}
-
-// Runner simulates a client walking a scenario across the plan's APs under
-// a roaming policy.
-type Runner struct {
-	Plan Plan
-	// TickDt is the decision tick (100 ms).
-	TickDt float64
-	// HandoffCost is the association gap (paper: ~200 ms; 40 ms with
-	// 802.11r).
-	HandoffCost float64
-	// ScanCost is the off-channel time of a full scan.
-	ScanCost float64
-	// Obs, when non-nil, collects handoff/scan telemetry and classifier
-	// metrics; Trial keys the per-trial tracer (distinct concurrent
-	// trials must use distinct keys).
-	Obs   *obs.Scope
-	Trial int
-}
-
-// NewRunner returns a runner with the paper's costs.
-func NewRunner(plan Plan) *Runner {
-	return &Runner{Plan: plan, TickDt: 0.1, HandoffCost: 0.2, ScanCost: 0.06}
-}
-
-// Result summarizes a roaming run.
-type Result struct {
-	// Mbps is the mean achieved throughput.
-	Mbps float64
-	// Handoffs counts association changes.
-	Handoffs int
-	// Scans counts client scans.
-	Scans int
-	// Timeline holds (time, throughput) samples.
-	Timeline []stats.Point
-}
-
-// Run simulates the scenario under the policy. Throughput per tick is the
-// expected goodput from the associated AP, zeroed while scanning or
-// reassociating. seed controls measurement noise.
-func (r *Runner) Run(scen *mobility.Scenario, pol Policy, seed uint64) Result {
-	rng := stats.NewRNG(seed)
-	nAP := len(r.Plan.APs)
-	links := make([]*channel.Model, nAP)
-	for i, ap := range r.Plan.APs {
-		links[i] = channel.NewAt(r.Plan.Channel, ap, scen, rng.Split(uint64(i)+1))
-	}
-	maxStreams := phy.MaxStreams(r.Plan.Channel.NTx, r.Plan.Channel.NRx)
-
-	// Telemetry (all sinks nil-safe when r.Obs is nil).
-	reg := r.Obs.Registry()
-	tr := r.Obs.Tracer(r.Trial)
-	handoffs := reg.Counter("roaming.handoffs")
-	scans := reg.Counter("roaming.scans")
-	clsMet := core.NewMetrics(reg)
-	newCls := func() *core.Classifier {
-		c := core.New(core.DefaultConfig())
-		c.Instrument(clsMet, tr)
-		return c
-	}
-
-	// Controller-side instrumentation: a classifier pipeline on the
-	// current AP and per-AP ToF trend detectors.
-	cls := newCls()
-	meter := tof.NewMeter(tof.DefaultConfig(), rng.Split(777))
-	trends := make([]*tof.TrendDetector, nAP)
-	filters := make([]*stats.MedianFilter, nAP)
-	for i := range trends {
-		trends[i] = tof.NewTrendDetector(3, 0, 0.8)
-		filters[i] = &stats.MedianFilter{}
-	}
-
-	// Initial association: strongest AP.
-	cur := 0
-	bestRSSI := -1e18
-	for i, l := range links {
-		if v := l.MeanRSSI(0); v > bestRSSI {
-			cur, bestRSSI = i, v
-		}
-	}
-
-	var res Result
-	var bits float64
-	// One measurement buffer shared across all AP channels: the classifier
-	// copies, and the RSSI/SNR consumers below do not retain the matrix.
-	var csiBuf *csi.Matrix
-	busyUntil := -1.0 // scanning/handoff gap end
-	scanPending := false
-	nextCSI, nextToF := 0.0, 0.0
-	lastFlush := 0.0
-
-	for t := 0.0; t < scen.Duration; t += r.TickDt {
-		// Measurement plane (runs regardless of data-plane gaps).
-		for nextCSI <= t {
-			s := links[cur].MeasureInto(nextCSI, csiBuf)
-			csiBuf = s.CSI
-			cls.ObserveCSI(nextCSI, s.CSI)
-			nextCSI += cls.Config().CSISamplePeriod
-		}
-		for nextToF <= t {
-			if cls.ToFActive() {
-				cls.ObserveToF(nextToF, meter.Raw(links[cur].Distance(nextToF)))
-			}
-			// Controller NULL-frame probing of every AP.
-			for i := range links {
-				filters[i].Add(meter.Raw(links[i].Distance(nextToF)))
-			}
-			nextToF += 0.02
-		}
-		if t-lastFlush >= 1 {
-			lastFlush = t
-			for i := range links {
-				if med, ok := filters[i].Flush(); ok {
-					trends[i].Push(med)
-				}
-			}
-		}
-
-		curSample := links[cur].MeasureInto(t, csiBuf)
-		csiBuf = curSample.CSI
-		view := Observation{
-			T:           t,
-			Cur:         cur,
-			CurRSSI:     curSample.RSSIdBm,
-			InfraRSSI:   make([]float64, nAP),
-			State:       cls.State(),
-			Approaching: make([]bool, nAP),
-		}
-		for i, l := range links {
-			s := l.MeasureInto(t, csiBuf)
-			csiBuf = s.CSI
-			view.InfraRSSI[i] = s.RSSIdBm
-			view.Approaching[i] = trends[i].Trend() == stats.TrendDecreasing
-		}
-		if scanPending && t >= busyUntil {
-			view.ScanRSSI = view.InfraRSSI // client scan sees the same radios
-			view.ScanValid = true
-			scanPending = false
-		}
-
-		act := pol.Decide(view)
-		if act.StartScan && t >= busyUntil {
-			busyUntil = t + r.ScanCost
-			scanPending = true
-			res.Scans++
-			scans.Inc()
-			tr.Emit(t, "roaming", "scan", float64(cur), 0, "")
-		}
-		if act.RoamTo >= 0 && act.RoamTo != cur && t >= busyUntil {
-			tr.Emit(t, "roaming", "handoff", float64(cur), float64(act.RoamTo), core.StateLabel(view.State))
-			cur = act.RoamTo
-			busyUntil = t + r.HandoffCost
-			res.Handoffs++
-			handoffs.Inc()
-			// The new AP starts with a fresh view of the client.
-			cls = newCls()
-		}
-
-		// Data plane.
-		tput := 0.0
-		if t >= busyUntil {
-			ds := links[cur].MeasureInto(t, csiBuf)
-			csiBuf = ds.CSI
-			effSNR := phy.EffectiveSNRdB(ds.CSI, links[cur].SNRdB(t))
-			tput = ExpectedThroughput(effSNR, maxStreams)
-		}
-		bits += tput * 1e6 * r.TickDt
-		res.Timeline = append(res.Timeline, stats.Point{X: t, Y: tput})
-	}
-	res.Mbps = bits / scen.Duration / 1e6
-	return res
 }

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"mobiwlan/internal/core"
-	"mobiwlan/internal/geom"
 	"mobiwlan/internal/mobility"
-	"mobiwlan/internal/stats"
 )
 
 func TestDefaultPlan(t *testing.T) {
@@ -158,66 +156,5 @@ func TestMobilityAwareThrottled(t *testing.T) {
 	obs.T = 11
 	if m.Decide(obs).RoamTo >= 0 {
 		t.Fatal("second roam within MinInterval should be suppressed")
-	}
-}
-
-// walkAcrossFloor builds a scenario walking from near AP0 toward AP2
-// (a long horizontal walk across the plan).
-func walkAcrossFloor(seed uint64, duration float64) *mobility.Scenario {
-	cfg := mobility.DefaultSceneConfig()
-	cfg.Duration = duration
-	rng := stats.NewRNG(seed)
-	scen := mobility.NewScenario(mobility.Static, cfg, rng) // scatterer field
-	scen.Label = mobility.Macro
-	scen.Client = mobility.WaypointWalk{
-		Path:  geom.NewPath(geom.Pt(4, 7), geom.Pt(46, 7)),
-		Speed: 1.4,
-	}
-	return scen
-}
-
-func TestRunnerBasics(t *testing.T) {
-	r := NewRunner(DefaultPlan())
-	scen := walkAcrossFloor(1, 20)
-	res := r.Run(scen, NewDefault80211(), 7)
-	if res.Mbps <= 0 {
-		t.Fatal("no throughput")
-	}
-	if len(res.Timeline) == 0 {
-		t.Fatal("no timeline")
-	}
-}
-
-func TestRunnerDeterministic(t *testing.T) {
-	r := NewRunner(DefaultPlan())
-	a := r.Run(walkAcrossFloor(2, 15), NewDefault80211(), 9)
-	b := r.Run(walkAcrossFloor(2, 15), NewDefault80211(), 9)
-	if a.Mbps != b.Mbps || a.Handoffs != b.Handoffs {
-		t.Fatalf("same-seed runs differ: %+v vs %+v", a, b)
-	}
-}
-
-func TestMotionAwareRoamsDuringCrossFloorWalk(t *testing.T) {
-	// Walking 42 m across a 3-AP row must trigger at least one handoff
-	// under the motion-aware policy, and its throughput should beat the
-	// sticky default (which only roams below -75 dBm).
-	r := NewRunner(DefaultPlan())
-	var defMbps, awareMbps []float64
-	handoffs := 0
-	for seed := uint64(0); seed < 4; seed++ {
-		scen := walkAcrossFloor(seed*7+3, 30)
-		d := r.Run(scen, NewDefault80211(), seed+100)
-		a := r.Run(scen, NewMobilityAware(), seed+100)
-		defMbps = append(defMbps, d.Mbps)
-		awareMbps = append(awareMbps, a.Mbps)
-		handoffs += a.Handoffs
-	}
-	if handoffs == 0 {
-		t.Fatal("motion-aware policy never roamed on a cross-floor walk")
-	}
-	dm, am := stats.Mean(defMbps), stats.Mean(awareMbps)
-	t.Logf("cross-floor walk: default=%.1f Mbps motion-aware=%.1f Mbps (handoffs=%d)", dm, am, handoffs)
-	if am < dm {
-		t.Fatalf("motion-aware (%.1f) should beat sticky default (%.1f)", am, dm)
 	}
 }

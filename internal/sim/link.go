@@ -1,8 +1,10 @@
 // Package sim wires the full system together: channel → classifier →
 // {rate control, aggregation, roaming} → MAC → transport. It provides the
 // closed-loop single-link simulator used by the rate-control and
-// aggregation experiments, and the multi-AP WLAN simulator behind the
-// paper's overall evaluation (Fig. 13).
+// aggregation experiments, the MAC-free roaming client behind Fig. 7b
+// (RunRoaming), and the multi-AP WLAN simulator behind the paper's
+// overall evaluation (Fig. 13). The last two share one roaming client
+// loop, the station.
 package sim
 
 import (
@@ -23,10 +25,6 @@ import (
 type LinkOptions struct {
 	// Channel is the radio configuration.
 	Channel channel.Config
-	// Classifier configures the mobility classifier.
-	Classifier core.Config
-	// ToF configures the ToF measurement hardware.
-	ToF tof.Config
 	// Adapter is the rate-control algorithm.
 	Adapter ratecontrol.Adapter
 	// Agg is the aggregation-limit policy.
@@ -51,12 +49,10 @@ type LinkOptions struct {
 // Atheros RA, fixed 4 ms aggregation, saturated UDP.
 func DefaultLinkOptions() LinkOptions {
 	return LinkOptions{
-		Channel:    channel.DefaultConfig(),
-		Classifier: core.DefaultConfig(),
-		ToF:        tof.DefaultConfig(),
-		Adapter:    ratecontrol.NewAtheros(ratecontrol.DefaultLinkConfig()),
-		Agg:        aggregation.Fixed{Limit: 4e-3},
-		Source:     transport.Saturated{},
+		Channel: channel.DefaultConfig(),
+		Adapter: ratecontrol.NewAtheros(ratecontrol.DefaultLinkConfig()),
+		Agg:     aggregation.Fixed{Limit: 4e-3},
+		Source:  transport.Saturated{},
 	}
 }
 
@@ -89,8 +85,8 @@ func RunLink(scen *mobility.Scenario, opt LinkOptions, seed uint64) LinkResult {
 	rng := stats.NewRNG(seed)
 	ch := channel.New(opt.Channel, scen, rng.Split(1))
 	link := mac.NewLink(ch, rng.Split(2))
-	meter := tof.NewMeter(opt.ToF, rng.Split(3))
-	cls := core.New(opt.Classifier)
+	meter := tof.NewMeter(tof.DefaultConfig(), rng.Split(3))
+	cls := core.New(core.DefaultConfig())
 	src := opt.Source
 	if src == nil {
 		src = transport.Saturated{}
@@ -108,14 +104,8 @@ func RunLink(scen *mobility.Scenario, opt LinkOptions, seed uint64) LinkResult {
 	var bits float64
 	var csiBuf *csi.Matrix // reused measurement buffer; the classifier copies
 	nextCSI, nextToF := 0.0, 0.0
-	csiPeriod := opt.Classifier.CSISamplePeriod
-	if csiPeriod <= 0 {
-		csiPeriod = 0.05
-	}
-	tofPeriod := opt.ToF.SampleInterval
-	if tofPeriod <= 0 {
-		tofPeriod = 0.02
-	}
+	csiPeriod := cls.Config().CSISamplePeriod
+	tofPeriod := tof.DefaultConfig().SampleInterval
 	const idleStep = 1e-3
 
 	t := 0.0

@@ -2,9 +2,7 @@ package sim
 
 import (
 	"mobiwlan/internal/aggregation"
-	"mobiwlan/internal/channel"
 	"mobiwlan/internal/core"
-	"mobiwlan/internal/csi"
 	"mobiwlan/internal/geom"
 	"mobiwlan/internal/mac"
 	"mobiwlan/internal/medium"
@@ -14,11 +12,11 @@ import (
 	"mobiwlan/internal/ratecontrol"
 	"mobiwlan/internal/roaming"
 	"mobiwlan/internal/stats"
-	"mobiwlan/internal/tof"
 	"mobiwlan/internal/transport"
 )
 
-// WLANOptions configures the multi-AP end-to-end simulation (paper §7).
+// WLANOptions configures the multi-AP end-to-end simulation (paper §7)
+// and, minus MotionAware and Source, RunRoaming.
 type WLANOptions struct {
 	// Plan is the AP deployment.
 	Plan roaming.Plan
@@ -42,7 +40,8 @@ type WLANOptions struct {
 	Trial int
 }
 
-// DefaultWLANOptions returns the Fig. 13 setting.
+// DefaultWLANOptions returns the Fig. 13 setting: the six-AP floor,
+// 200 ms handoffs and 60 ms scans.
 func DefaultWLANOptions(motionAware bool) WLANOptions {
 	return WLANOptions{
 		Plan:        roaming.DefaultPlan(),
@@ -79,35 +78,26 @@ type MPDUCounts struct {
 	OBSSLost uint64
 }
 
-// wlanClient is one client's full protocol stack (channels, MAC links,
-// classifier, ToF trend detection, rate control, aggregation, roaming,
-// traffic source) as a resumable state machine. advance() runs the control
-// loop until a frame is ready; transmit() sends it at a (possibly
-// deferred) start time. RunWLAN alternates the two back to back, which
-// reproduces the original single-loop simulation draw for draw; the
-// contended fleet driver interleaves many clients through a shared medium
-// between the two calls.
+// wlanClient is one client's full protocol stack (the roaming station's
+// channels, classifier and ToF trend probes, plus MAC links, rate control,
+// aggregation, the roaming policy and the traffic source) as a resumable
+// state machine. advance() runs the control loop until a frame is ready;
+// transmit() sends it at a (possibly deferred) start time. RunWLAN
+// alternates the two back to back, which reproduces the original
+// single-loop simulation draw for draw; the contended fleet driver
+// interleaves many clients through a shared medium between the two calls.
 type wlanClient struct {
+	station
 	scen *mobility.Scenario
-	opt  WLANOptions
 	src  transport.Source
 
 	links []*mac.Link
-	apIdx []int // global AP index per link (identity when no subsetting)
 
-	handoffs, scans *obs.Counter
-	tr              *obs.Tracer
-
-	newAdapter func() ratecontrol.Adapter
-	newCls     func() *core.Classifier
-	aggPol     aggregation.Policy
-	roamPol    roaming.Policy
-
-	cls     *core.Classifier
-	adapter ratecontrol.Adapter
-	meter   *tof.Meter
-	trends  []*tof.TrendDetector
-	filters []*stats.MedianFilter
+	newAdapter  func() ratecontrol.Adapter
+	aggPol      aggregation.Policy
+	roamPol     roaming.Policy
+	adapter     ratecontrol.Adapter
+	motionAware bool
 
 	// medRNG is a dedicated split for medium-level draws (OBSS interference
 	// survival); it never perturbs the frame/channel RNG streams, which is
@@ -115,22 +105,9 @@ type wlanClient struct {
 	medRNG        *stats.RNG
 	noiseFloorDBm float64
 
-	cur         int
-	t           float64
-	bits        float64
-	busyUntil   float64
-	scanPending bool
-	nextCSI     float64
-	nextToF     float64
-	nextTick    float64
-	lastFlush   float64
-	csiBuf      *csi.Matrix
-	// infraRSSI/approaching back the per-tick roaming Observation. The
-	// policies consume the slices inside Decide and never retain them
-	// (roaming.go), so one pair per client replaces two allocations per
-	// roaming tick.
-	infraRSSI   []float64
-	approaching []bool
+	t        float64
+	bits     float64
+	nextTick float64
 
 	// Pending frame between advance() and transmit().
 	pendMCS phy.MCS
@@ -138,54 +115,33 @@ type wlanClient struct {
 	pendDur float64
 
 	mpdu MPDUCounts
-	res  WLANResult
 }
 
 // newWLANClient builds the stack. apIdx maps each plan AP to its global
 // index in the full deployment; nil means identity. RNG splits are keyed
-// by the global index so a client simulated against a nearby subset of a
-// large plan sees the same channel randomness it would against the full
-// plan.
+// by the global index (see newStation).
 func newWLANClient(scen *mobility.Scenario, opt WLANOptions, seed uint64, apIdx []int) *wlanClient {
 	rng := stats.NewRNG(seed)
-	nAP := len(opt.Plan.APs)
-	if apIdx == nil {
-		apIdx = make([]int, nAP)
-		for i := range apIdx {
-			apIdx[i] = i
-		}
-	}
 	c := &wlanClient{
+		station:       newStation(scen, opt, rng, apIdx, "sim.wlan.handoffs", "sim.wlan.scans", "sim"),
 		scen:          scen,
-		opt:           opt,
-		apIdx:         apIdx,
-		links:         make([]*mac.Link, nAP),
+		src:           opt.Source,
+		links:         make([]*mac.Link, len(opt.Plan.APs)),
+		motionAware:   opt.MotionAware,
 		medRNG:        rng.Split(888),
 		noiseFloorDBm: opt.Plan.Channel.NoiseFloorDBm,
-		busyUntil:     -1,
-		infraRSSI:     make([]float64, nAP),
-		approaching:   make([]bool, nAP),
 	}
-	for i, ap := range opt.Plan.APs {
-		gi := uint64(apIdx[i])
-		ch := channel.NewAt(opt.Plan.Channel, ap, scen, rng.Split(gi+1))
-		c.links[i] = mac.NewLink(ch, rng.Split(gi+100))
-	}
-	c.src = opt.Source
 	if c.src == nil {
 		c.src = transport.Saturated{}
 	}
 
 	// Telemetry (all sinks nil-safe when opt.Obs is nil).
 	reg := opt.Obs.Registry()
-	c.tr = opt.Obs.Tracer(opt.Trial)
-	c.handoffs = reg.Counter("sim.wlan.handoffs")
-	c.scans = reg.Counter("sim.wlan.scans")
-	clsMet := core.NewMetrics(reg)
 	macMet := mac.NewMetrics(reg)
 	rcMet := ratecontrol.NewMetrics(reg)
-	for _, l := range c.links {
-		l.Met = macMet
+	for i, ch := range c.chans {
+		c.links[i] = mac.NewLink(ch, rng.Split(uint64(c.apIdx[i])+100))
+		c.links[i].Met = macMet
 	}
 
 	c.newAdapter = func() ratecontrol.Adapter {
@@ -202,30 +158,6 @@ func newWLANClient(scen *mobility.Scenario, opt WLANOptions, seed uint64, apIdx 
 		c.aggPol = aggregation.Adaptive{}
 		c.roamPol = roaming.NewMobilityAware()
 	}
-	c.newCls = func() *core.Classifier {
-		cl := core.New(core.DefaultConfig())
-		cl.Instrument(clsMet, c.tr)
-		return cl
-	}
-
-	// Controller instrumentation: classifier on the current AP, per-AP
-	// ToF trend detection for candidate headings.
-	c.cls = c.newCls()
-	c.meter = tof.NewMeter(tof.DefaultConfig(), rng.Split(777))
-	c.trends = make([]*tof.TrendDetector, nAP)
-	c.filters = make([]*stats.MedianFilter, nAP)
-	for i := range c.trends {
-		c.trends[i] = tof.NewTrendDetector(3, 0, 0.8)
-		c.filters[i] = &stats.MedianFilter{}
-	}
-
-	// Initial association: strongest AP.
-	bestRSSI := -1e18
-	for i, l := range c.links {
-		if v := l.Chan.MeanRSSI(0); v > bestRSSI {
-			c.cur, bestRSSI = i, v
-		}
-	}
 	c.adapter = c.newAdapter()
 	return c
 }
@@ -241,75 +173,13 @@ func (c *wlanClient) pos(t float64) geom.Point { return c.scen.Client.At(t) }
 // (returns false; pendMCS/pendN/pendDur describe it) or the scenario ends
 // (returns true).
 func (c *wlanClient) advance() bool {
-	const tick = 0.1
 	const idleStep = 1e-3
 	for c.t < c.scen.Duration {
 		t := c.t
-		for c.nextCSI <= t {
-			s := c.links[c.cur].Chan.MeasureInto(c.nextCSI, c.csiBuf)
-			c.csiBuf = s.CSI
-			c.cls.ObserveCSI(c.nextCSI, s.CSI)
-			c.nextCSI += c.cls.Config().CSISamplePeriod
-		}
-		for c.nextToF <= t {
-			if c.cls.ToFActive() {
-				c.cls.ObserveToF(c.nextToF, c.meter.Raw(c.links[c.cur].Chan.Distance(c.nextToF)))
-			}
-			for i := range c.links {
-				c.filters[i].Add(c.meter.Raw(c.links[i].Chan.Distance(c.nextToF)))
-			}
-			c.nextToF += 0.02
-		}
-		if t-c.lastFlush >= 1 {
-			c.lastFlush = t
-			for i := range c.links {
-				if med, ok := c.filters[i].Flush(); ok {
-					c.trends[i].Push(med)
-				}
-			}
-		}
-
-		// Roaming decisions on the tick boundary. The current AP is
-		// measured once, inside the loop over all APs: it used to get an
-		// extra MeasureInto just to fill CurRSSI, which both did double
-		// work and advanced its noise RNG by one extra draw sequence per
-		// tick.
+		c.catchUp(t)
 		if t >= c.nextTick {
-			c.nextTick = t + tick
-			view := roaming.Observation{
-				T:           t,
-				Cur:         c.cur,
-				InfraRSSI:   c.infraRSSI,
-				State:       c.cls.State(),
-				Approaching: c.approaching,
-			}
-			for i, l := range c.links {
-				s := l.Chan.MeasureInto(t, c.csiBuf)
-				c.csiBuf = s.CSI
-				view.InfraRSSI[i] = s.RSSIdBm
-				view.Approaching[i] = c.trends[i].Trend() == stats.TrendDecreasing
-			}
-			view.CurRSSI = view.InfraRSSI[c.cur]
-			if c.scanPending && t >= c.busyUntil {
-				view.ScanRSSI = view.InfraRSSI
-				view.ScanValid = true
-				c.scanPending = false
-			}
-			act := c.roamPol.Decide(view)
-			if act.StartScan && t >= c.busyUntil {
-				c.busyUntil = t + c.opt.ScanCost
-				c.scanPending = true
-				c.res.Scans++
-				c.scans.Inc()
-				c.tr.Emit(t, "sim", "scan", float64(c.cur), 0, "")
-			}
-			if act.RoamTo >= 0 && act.RoamTo != c.cur && t >= c.busyUntil {
-				c.tr.Emit(t, "sim", "handoff", float64(c.cur), float64(act.RoamTo), core.StateLabel(view.State))
-				c.cur = act.RoamTo
-				c.busyUntil = t + c.opt.HandoffCost
-				c.res.Handoffs++
-				c.handoffs.Inc()
-				c.cls = c.newCls()
+			c.nextTick = t + roamTick
+			if c.apply(t, c.roamPol.Decide(c.observe(t))) {
 				c.adapter = c.newAdapter()
 			}
 		}
@@ -320,7 +190,7 @@ func (c *wlanClient) advance() bool {
 		}
 
 		state := core.StateUnknown
-		if c.opt.MotionAware {
+		if c.motionAware {
 			state = c.cls.State()
 			if sa, ok := c.adapter.(ratecontrol.StateAware); ok {
 				sa.SetState(state)
@@ -383,12 +253,7 @@ func (c *wlanClient) transmit(start float64, collided bool, interfDBm, overlapFr
 }
 
 // result finalizes and returns the run summary.
-func (c *wlanClient) result() WLANResult {
-	if c.scen.Duration > 0 {
-		c.res.Mbps = c.bits / c.scen.Duration / 1e6
-	}
-	return c.res
-}
+func (c *wlanClient) result() WLANResult { return c.finish(c.bits, c.scen.Duration) }
 
 // RunWLAN simulates a client moving through the WLAN with the full
 // protocol stack at frame granularity, with the medium to itself: every

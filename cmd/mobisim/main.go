@@ -9,6 +9,8 @@
 //	fleet     - N independent clients against the shared AP plan
 //	roam      - roaming-policy comparison on one walk
 //	subf      - single-user beamforming with a chosen feedback period
+//	mumimo    - three-client MU-MIMO with a common or adaptive feedback period
+//	sched     - downlink scheduling policies in a three-client cell
 //
 // As a convenience, fleet flags may be passed directly ("mobisim
 // -clients 64" is "mobisim fleet -clients 64").

@@ -102,7 +102,7 @@ func main() {
 						cls.ObserveToF(t, meter.Raw(link.Distance(t)))
 					}
 					filter.Add(meter.Raw(link.Distance(t)))
-					nextToF += 0.02
+					nextToF += tof.SampleInterval
 				}
 				if t-lastFlush >= 1 {
 					lastFlush = t

@@ -72,7 +72,7 @@ func main() {
 			if cls.ToFActive() {
 				cls.ObserveToF(t, meter.Raw(link.Distance(t)))
 			}
-			nextToF += 0.02
+			nextToF += tof.SampleInterval
 		}
 		if s := cls.State(); s != last {
 			fmt.Printf("%5.1fs  %s\n", t, s)

@@ -13,7 +13,7 @@ import (
 )
 
 func randCMatrix(n int, rng *stats.RNG) *CMatrix {
-	m := NewCMatrix(n, n)
+	m := &CMatrix{Rows: n, Cols: n, Data: make([]complex128, n*n)}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			m.Set(i, j, complex(rng.NormFloat64(), rng.NormFloat64()))
@@ -22,36 +22,36 @@ func randCMatrix(n int, rng *stats.RNG) *CMatrix {
 	return m
 }
 
-func TestCMatrixMulIdentity(t *testing.T) {
-	id := NewCMatrix(3, 3)
-	for i := 0; i < 3; i++ {
-		id.Set(i, i, 1)
+func identity(n int) *CMatrix {
+	m := &CMatrix{Rows: n, Cols: n, Data: make([]complex128, n*n)}
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
 	}
-	m := randCMatrix(3, stats.NewRNG(1))
-	p := m.Mul(id)
-	for i := range m.Data {
-		if cmplx.Abs(p.Data[i]-m.Data[i]) > 1e-12 {
-			t.Fatal("M * I != M")
-		}
-	}
+	return m
 }
 
+// TestInverseProperty checks gaussJordan's output against a product
+// computed here: m times the inverse must be the identity.
 func TestInverseProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%4) + 2 // 2..5
 		m := randCMatrix(n, stats.NewRNG(seed))
-		inv, err := m.Inverse()
-		if err != nil {
+		a := &CMatrix{Rows: n, Cols: n, Data: append([]complex128(nil), m.Data...)}
+		inv := identity(n)
+		if !gaussJordan(a, inv) {
 			return true // singular draw; fine
 		}
-		p := m.Mul(inv)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
+				var p complex128
+				for k := 0; k < n; k++ {
+					p += m.At(i, k) * inv.At(k, j)
+				}
 				want := complex128(0)
 				if i == j {
 					want = 1
 				}
-				if cmplx.Abs(p.At(i, j)-want) > 1e-8 {
+				if cmplx.Abs(p-want) > 1e-8 {
 					return false
 				}
 			}
@@ -64,24 +64,13 @@ func TestInverseProperty(t *testing.T) {
 }
 
 func TestInverseSingular(t *testing.T) {
-	m := NewCMatrix(2, 2) // all zeros
-	if _, err := m.Inverse(); err == nil {
-		t.Fatal("expected singular error")
+	zero := &CMatrix{Rows: 2, Cols: 2, Data: make([]complex128, 4)}
+	if gaussJordan(zero, identity(2)) {
+		t.Fatal("all-zero matrix reported invertible")
 	}
-	if _, err := NewCMatrix(2, 3).Inverse(); err == nil {
-		t.Fatal("expected non-square error")
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	m := NewCMatrix(2, 2)
-	m.Set(0, 0, 1)
-	m.Set(0, 1, 2)
-	m.Set(1, 0, 3)
-	m.Set(1, 1, 4)
-	v := m.MulVec([]complex128{1, 1})
-	if v[0] != 3 || v[1] != 7 {
-		t.Fatalf("MulVec = %v", v)
+	rank1 := &CMatrix{Rows: 2, Cols: 2, Data: []complex128{1, 2, 2, 4}}
+	if gaussJordan(rank1, identity(2)) {
+		t.Fatal("rank-1 matrix reported invertible")
 	}
 }
 
@@ -96,13 +85,14 @@ func TestZFWeightsNullInterference(t *testing.T) {
 			complex(rng.NormFloat64(), rng.NormFloat64()),
 		}
 	}
-	w := ZFWeights(rows)
-	if w == nil {
+	var solver ZFSolver
+	w, ok := solver.WeightsInto(rows, nil)
+	if !ok {
 		t.Fatal("unexpected singular channel")
 	}
 	for u := 0; u < 3; u++ {
 		for j := 0; j < 3; j++ {
-			amp := cmplx.Abs(dotConj(rows[u], conjVec(w[j])))
+			amp := cmplx.Abs(dot(rows[u], w[j]))
 			if u == j && amp < 1e-6 {
 				t.Fatalf("own-signal amplitude for user %d is zero", u)
 			}
@@ -121,7 +111,8 @@ func TestZFWeightsNullInterference(t *testing.T) {
 
 func TestZFWeightsRejectsNonSquare(t *testing.T) {
 	rows := [][]complex128{{1, 2, 3}, {4, 5, 6}}
-	if ZFWeights(rows) != nil {
+	var solver ZFSolver
+	if _, ok := solver.WeightsInto(rows, nil); ok {
 		t.Fatal("2 users x 3 antennas should be rejected")
 	}
 }

@@ -6,7 +6,6 @@
 package beamforming
 
 import (
-	"errors"
 	"math"
 	"math/cmplx"
 )
@@ -17,96 +16,27 @@ type CMatrix struct {
 	Data       []complex128
 }
 
-// NewCMatrix allocates a zero Rows x Cols matrix.
-func NewCMatrix(rows, cols int) *CMatrix {
-	return &CMatrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
-}
-
 // At returns element (i, j).
 func (m *CMatrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
 
 // Set stores element (i, j).
 func (m *CMatrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy.
-func (m *CMatrix) Clone() *CMatrix {
-	c := NewCMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// Mul returns m * o.
-func (m *CMatrix) Mul(o *CMatrix) *CMatrix {
-	if m.Cols != o.Rows {
-		panic("beamforming: dimension mismatch in Mul")
-	}
-	out := NewCMatrix(m.Rows, o.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < o.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * o.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns m * v for a column vector v.
-func (m *CMatrix) MulVec(v []complex128) []complex128 {
-	if m.Cols != len(v) {
-		panic("beamforming: dimension mismatch in MulVec")
-	}
-	out := make([]complex128, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		var s complex128
-		for j := 0; j < m.Cols; j++ {
-			s += m.At(i, j) * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// ErrSingular is returned when a matrix cannot be inverted.
-var ErrSingular = errors.New("beamforming: singular matrix")
-
-// Inverse returns the inverse of a square matrix via Gauss-Jordan
-// elimination with partial pivoting.
-func (m *CMatrix) Inverse() (*CMatrix, error) {
-	if m.Rows != m.Cols {
-		return nil, errors.New("beamforming: inverse of non-square matrix")
-	}
-	n := m.Rows
-	a := m.Clone()
-	inv := NewCMatrix(n, n)
-	for i := 0; i < n; i++ {
-		inv.Set(i, i, 1)
-	}
-	if !gaussJordan(a, inv) {
-		return nil, ErrSingular
-	}
-	return inv, nil
-}
-
-// ZFSolver is the allocation-free form of ZFWeights: the Gauss-Jordan
-// scratch lives on the solver and the weights are written into a
-// caller-owned buffer, following the same reuse contract as
-// channel.ResponseInto. A ZFSolver is not safe for concurrent use; its
-// arithmetic is operation-for-operation the one in Inverse, so results are
-// bit-identical to ZFWeights.
+// ZFSolver computes zero-forcing precoding vectors without allocating:
+// the Gauss-Jordan scratch lives on the solver and the weights are
+// written into a caller-owned buffer, following the same reuse contract
+// as channel.ResponseInto. A ZFSolver is not safe for concurrent use.
 type ZFSolver struct {
 	a, inv CMatrix
 }
 
 // WeightsInto computes the zero-forcing vectors for one subcarrier's
-// normalized user rows into dst and returns it with ok=true. On a singular
-// or non-square system it returns (dst, false) with dst's contents
-// unspecified, so the caller keeps its buffer either way. dst is grown
-// only when too small; steady-state callers never allocate.
+// normalized user rows into dst and returns it with ok=true: one unit-norm
+// NTx-vector per user, column u of the inverse of the rows. On a singular
+// or non-square system (zero-forcing needs as many transmit antennas as
+// users) it returns (dst, false) with dst's contents unspecified, so the
+// caller keeps its buffer either way. dst is grown only when too small;
+// steady-state callers never allocate.
 //
 //mobilint:hotpath
 func (s *ZFSolver) WeightsInto(rows [][]complex128, dst [][]complex128) ([][]complex128, bool) {
@@ -167,8 +97,7 @@ func (m *CMatrix) reshape(rows, cols int) {
 
 // gaussJordan reduces a to the identity in place while applying the same
 // row operations to inv (which must start as the identity), leaving inv as
-// a's inverse. It reports false on a singular pivot. The operation
-// sequence is exactly Inverse's, so both produce identical bits.
+// a's inverse. It reports false on a singular pivot.
 func gaussJordan(a, inv *CMatrix) bool {
 	n := a.Rows
 	for col := 0; col < n; col++ {
@@ -232,15 +161,6 @@ func dot(a, b []complex128) complex128 {
 	var s complex128
 	for i := range a {
 		s += a[i] * b[i]
-	}
-	return s
-}
-
-// dotConj returns sum(a_i * conj(b_i)).
-func dotConj(a, b []complex128) complex128 {
-	var s complex128
-	for i := range a {
-		s += a[i] * cmplx.Conj(b[i])
 	}
 	return s
 }

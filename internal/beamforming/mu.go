@@ -53,20 +53,6 @@ type MUResult struct {
 	FeedbackFraction float64
 }
 
-// ZFWeights computes zero-forcing precoding vectors from the (normalized)
-// estimated per-user channel rows of one subcarrier: one unit-norm
-// NTx-vector per user, or nil if the matrix is singular or non-square
-// (zero-forcing needs as many transmit antennas as users). Hot paths
-// should prefer ZFSolver.WeightsInto, which reuses caller-owned buffers.
-func ZFWeights(rows [][]complex128) [][]complex128 {
-	var s ZFSolver
-	out, ok := s.WeightsInto(rows, nil)
-	if !ok {
-		return nil
-	}
-	return out
-}
-
 // normalizedRowInto extracts one subcarrier's user row from a CSI matrix
 // into the caller-owned dst (ColumnInto reuse contract), scaled by a
 // precomputed per-user normalization so each user's average channel power
@@ -160,9 +146,7 @@ func RunMU(users []MUUser, cfg MUConfig, duration float64) MUResult {
 				if weights[sc] == nil {
 					continue
 				}
-				// The received amplitude of a precoded stream is h^T w:
-				// dot(h, w) == dotConj(h, conjVec(w)) term for term, without
-				// materializing the conjugated copy.
+				// The received amplitude of a precoded stream is h^T w.
 				sig := sqAbs(dot(h, weights[sc][u]))
 				var intf float64
 				for j := 0; j < n; j++ {
@@ -245,15 +229,4 @@ func (w *muWeights) rebuild(ests []*csi.Matrix, subc int) [][][]complex128 {
 
 func sqAbs(v complex128) float64 {
 	return real(v)*real(v) + imag(v)*imag(v)
-}
-
-// conjVec returns the element-wise conjugate (the received amplitude of a
-// precoded stream is h^T w; dotConj computes sum(a*conj(b)), so conjugate
-// w first).
-func conjVec(v []complex128) []complex128 {
-	out := make([]complex128, len(v))
-	for i, x := range v {
-		out[i] = complex(real(x), -imag(x))
-	}
-	return out
 }

@@ -9,10 +9,10 @@
 //     (csi.Similarity, paper Eq. 1) separates static (> ThrSta),
 //     environmental (ThrEnv..ThrSta], and device mobility (<= ThrEnv).
 //   - ToF readings from the data->ACK exchange, collected only while the
-//     client is under device mobility. Per-second medians feed a windowed
-//     monotone-trend test: an increasing trend means macro-mobility moving
-//     away from the AP, decreasing means moving towards, no trend means
-//     micro-mobility.
+//     client is under device mobility. Per-second medians (tof.Medians)
+//     feed a windowed monotone-trend test (tof.TrendDetector): an
+//     increasing trend means macro-mobility moving away from the AP,
+//     decreasing means moving towards, no trend means micro-mobility.
 //
 // The output is one of five states: static, environmental, micro, macro
 // moving-away, macro moving-towards — consumed by the roaming, rate
@@ -27,6 +27,7 @@ import (
 	"mobiwlan/internal/mobility"
 	"mobiwlan/internal/obs"
 	"mobiwlan/internal/stats"
+	"mobiwlan/internal/tof"
 )
 
 // Config holds the classifier's tuning parameters. The defaults are the
@@ -81,7 +82,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// State is the classifier's five-way output.
+// State is the classifier's output: the paper's five states, the
+// ExtendedClassifier's orbit state, and StateUnknown.
 type State int
 
 const (
@@ -97,55 +99,63 @@ const (
 	StateMacroAway
 	// StateMacroToward: device mobility with decreasing AP distance.
 	StateMacroToward
+	// StateMacroOrbit is reported only by the ExtendedClassifier, for
+	// macro-mobility tangential to the AP: the client covers real
+	// distance but its AP distance stays constant (the paper's §9 circle
+	// limitation, which the base CSI+ToF classifier labels micro).
+	StateMacroOrbit
 )
 
-// String implements fmt.Stringer.
+// stateRow names a State and maps it to the ground-truth vocabulary.
+type stateRow struct {
+	label   string
+	mode    mobility.Mode
+	heading mobility.Heading
+}
+
+// states is the one table of classifier states: String, StateLabel, Mode,
+// Heading and numStates all read it.
+var states = [...]stateRow{
+	StateUnknown:       {"unknown", mobility.Static, mobility.HeadingNone},
+	StateStatic:        {"static", mobility.Static, mobility.HeadingNone},
+	StateEnvironmental: {"environmental", mobility.Environmental, mobility.HeadingNone},
+	StateMicro:         {"micro", mobility.Micro, mobility.HeadingNone},
+	StateMacroAway:     {"macro-away", mobility.Macro, mobility.HeadingAway},
+	StateMacroToward:   {"macro-toward", mobility.Macro, mobility.HeadingToward},
+	StateMacroOrbit:    {"macro-orbit", mobility.Macro, mobility.HeadingNone},
+}
+
+// numStates bounds the per-state counter arrays.
+const numStates = len(states)
+
+// row returns s's table row; values outside the table read as
+// StateUnknown's.
+func (s State) row() stateRow {
+	if s < 0 || int(s) >= numStates {
+		return states[StateUnknown]
+	}
+	return states[s]
+}
+
+// String implements fmt.Stringer. Values outside the table print as
+// unknown(N).
 func (s State) String() string {
-	switch s {
-	case StateStatic:
-		return "static"
-	case StateEnvironmental:
-		return "environmental"
-	case StateMicro:
-		return "micro"
-	case StateMacroAway:
-		return "macro-away"
-	case StateMacroToward:
-		return "macro-toward"
-	case StateMacroToward + 1: // StateMacroOrbit (see extended.go)
-		return "macro-orbit"
-	default:
+	if s < 0 || int(s) >= numStates {
 		return fmt.Sprintf("unknown(%d)", int(s))
 	}
+	return states[s].label
 }
+
+// StateLabel returns an interned label for a state. Unlike
+// State.String it never allocates (values outside the table read
+// "unknown"), so it is safe on the instrumented hot path.
+func StateLabel(s State) string { return s.row().label }
 
 // Mode maps the state to the coarse four-way ground-truth vocabulary.
-func (s State) Mode() mobility.Mode {
-	switch s {
-	case StateStatic:
-		return mobility.Static
-	case StateEnvironmental:
-		return mobility.Environmental
-	case StateMicro:
-		return mobility.Micro
-	case StateMacroAway, StateMacroToward, StateMacroToward + 1:
-		return mobility.Macro
-	default:
-		return mobility.Static
-	}
-}
+func (s State) Mode() mobility.Mode { return s.row().mode }
 
 // Heading maps the state to the relative-heading vocabulary.
-func (s State) Heading() mobility.Heading {
-	switch s {
-	case StateMacroAway:
-		return mobility.HeadingAway
-	case StateMacroToward:
-		return mobility.HeadingToward
-	default:
-		return mobility.HeadingNone
-	}
-}
+func (s State) Heading() mobility.Heading { return s.row().heading }
 
 // StateFor converts a ground-truth (mode, heading) pair to the state the
 // classifier should report for it.
@@ -187,11 +197,9 @@ type Classifier struct {
 	hasCSI bool
 
 	tofActive        bool
-	tofFilter        stats.MedianFilter
-	tofLast          float64
-	tofStarted       bool
+	medians          tof.Medians
 	stationaryStreak int
-	trend            *trendDetectorShim
+	trend            *tof.TrendDetector
 
 	state State
 
@@ -199,34 +207,6 @@ type Classifier struct {
 	// and costs one branch per site.
 	met *Metrics
 	tr  *obs.Tracer
-}
-
-// trendDetectorShim embeds the windowed monotone-trend test. It mirrors
-// tof.TrendDetector but lives here so the classifier depends only on the
-// measurement values, not on the measurement hardware model.
-type trendDetectorShim struct {
-	window    *stats.MovingWindow
-	tolerance float64
-	minTravel float64
-}
-
-func (d *trendDetectorShim) trend() stats.Trend {
-	if !d.window.Full() {
-		return stats.TrendNone
-	}
-	vals := d.window.Values()
-	tr := stats.MonotoneTrend(vals, d.tolerance)
-	if tr == stats.TrendNone {
-		return tr
-	}
-	travel := vals[len(vals)-1] - vals[0]
-	if travel < 0 {
-		travel = -travel
-	}
-	if travel < d.minTravel {
-		return stats.TrendNone
-	}
-	return tr
 }
 
 // New returns a classifier with the given configuration.
@@ -242,11 +222,7 @@ func New(cfg Config) *Classifier {
 		simWin: stats.NewMovingWindow(cfg.SimWindow),
 		state:  StateUnknown,
 		coarse: StateUnknown,
-		trend: &trendDetectorShim{
-			window:    stats.NewMovingWindow(cfg.ToFWindow),
-			tolerance: cfg.ToFTolerance,
-			minTravel: cfg.ToFMinTravel,
-		},
+		trend:  tof.NewTrendDetector(cfg.ToFWindow, cfg.ToFTolerance, cfg.ToFMinTravel),
 	}
 }
 
@@ -298,7 +274,7 @@ func (c *Classifier) refreshState(t float64) {
 		if !c.tofActive {
 			c.startToF(t)
 		}
-		switch c.trend.trend() {
+		switch c.trend.Trend() {
 		case stats.TrendIncreasing:
 			c.state = StateMacroAway
 		case stats.TrendDecreasing:
@@ -316,18 +292,16 @@ func (c *Classifier) refreshState(t float64) {
 
 func (c *Classifier) startToF(t float64) {
 	c.tofActive = true
-	c.tofStarted = false
-	c.tofLast = t
-	c.tofFilter.Flush()
-	c.trend.window.Reset()
+	c.medians.Reset()
+	c.trend.Reset()
 	c.met.observeToF(true)
 	c.tr.Emit(t, "core", "tof-start", 0, 0, "")
 }
 
 func (c *Classifier) stopToF(t float64) {
 	c.tofActive = false
-	c.tofFilter.Flush()
-	c.trend.window.Reset()
+	c.medians.Reset()
+	c.trend.Reset()
 	c.met.observeToF(false)
 	c.tr.Emit(t, "core", "tof-stop", 0, 0, "")
 }
@@ -346,17 +320,9 @@ func (c *Classifier) ObserveToF(t float64, rawCycles float64) {
 	if !c.tofActive {
 		return
 	}
-	if !c.tofStarted {
-		c.tofStarted = true
-		c.tofLast = t
-	}
-	c.tofFilter.Add(rawCycles)
-	if t-c.tofLast >= c.cfg.MedianInterval {
-		c.tofLast = t
-		if med, ok := c.tofFilter.Flush(); ok {
-			c.trend.window.Push(med)
-			c.refreshState(t)
-		}
+	if med, ok := c.medians.Add(t, rawCycles, c.cfg.MedianInterval); ok {
+		c.trend.Push(med)
+		c.refreshState(t)
 	}
 }
 

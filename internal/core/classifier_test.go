@@ -25,16 +25,26 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 }
 
 func TestStateString(t *testing.T) {
-	cases := map[State]string{
-		StateStatic:        "static",
-		StateEnvironmental: "environmental",
-		StateMicro:         "micro",
-		StateMacroAway:     "macro-away",
-		StateMacroToward:   "macro-toward",
+	cases := []struct {
+		s          State
+		str, label string
+	}{
+		{StateUnknown, "unknown", "unknown"},
+		{StateStatic, "static", "static"},
+		{StateEnvironmental, "environmental", "environmental"},
+		{StateMicro, "micro", "micro"},
+		{StateMacroAway, "macro-away", "macro-away"},
+		{StateMacroToward, "macro-toward", "macro-toward"},
+		{StateMacroOrbit, "macro-orbit", "macro-orbit"},
+		{-1, "unknown(-1)", "unknown"},
+		{99, "unknown(99)", "unknown"},
 	}
-	for s, want := range cases {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), want)
+	for _, c := range cases {
+		if got := c.s.String(); got != c.str {
+			t.Errorf("%d.String() = %q, want %q", int(c.s), got, c.str)
+		}
+		if got := StateLabel(c.s); got != c.label {
+			t.Errorf("StateLabel(%d) = %q, want %q", int(c.s), got, c.label)
 		}
 	}
 }

@@ -5,12 +5,6 @@ import (
 	"mobiwlan/internal/csi"
 )
 
-// StateMacroOrbit is reported by the ExtendedClassifier for macro-mobility
-// tangential to the AP — the client covers real distance but its AP
-// distance stays constant (the paper's §9 circle limitation, which the
-// base CSI+ToF classifier necessarily labels micro).
-const StateMacroOrbit State = StateMacroToward + 1
-
 // ExtendedClassifier augments the base CSI+ToF classifier with the
 // Angle-of-Arrival bearing-sweep detector the paper proposes as future
 // work (§9): when CSI indicates device mobility and ToF shows no radial
@@ -49,9 +43,6 @@ func (e *ExtendedClassifier) ObserveToF(t float64, rawCycles float64) {
 
 // ToFActive reports whether ToF collection should run (see Classifier).
 func (e *ExtendedClassifier) ToFActive() bool { return e.base.ToFActive() }
-
-// Similarity exposes the base classifier's similarity average.
-func (e *ExtendedClassifier) Similarity() float64 { return e.base.Similarity() }
 
 // Config returns the base configuration.
 func (e *ExtendedClassifier) Config() Config { return e.base.Config() }

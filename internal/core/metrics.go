@@ -2,32 +2,6 @@ package core
 
 import "mobiwlan/internal/obs"
 
-// StateLabel returns an interned label for a state. Unlike
-// State.String it never allocates (String's default arm formats the
-// integer), so it is safe on the instrumented hot path.
-func StateLabel(s State) string {
-	switch s {
-	case StateStatic:
-		return "static"
-	case StateEnvironmental:
-		return "environmental"
-	case StateMicro:
-		return "micro"
-	case StateMacroAway:
-		return "macro-away"
-	case StateMacroToward:
-		return "macro-toward"
-	case StateMacroToward + 1: // StateMacroOrbit (see extended.go)
-		return "macro-orbit"
-	default:
-		return "unknown"
-	}
-}
-
-// numStates bounds the per-state counter arrays: the five base states,
-// StateMacroOrbit, and StateUnknown.
-const numStates = int(StateMacroToward) + 2
-
 // Metrics is the classifier's telemetry bundle. All fields are
 // registry handles (atomic, commutative), so one Metrics may be shared
 // by concurrent trials; a nil *Metrics disables everything.

@@ -56,7 +56,7 @@ func StateAt(decisions []Decision) func(t float64) State {
 // RunScenario drives the full measurement-and-classification pipeline over
 // a scenario: the channel model produces CSI snapshots every
 // CSISamplePeriod, the ToF meter produces raw readings every
-// ToF.SampleInterval while the classifier asks for them, and every CSI
+// tof.SampleInterval while the classifier asks for them, and every CSI
 // observation emits one Decision. seed controls all measurement noise.
 func RunScenario(scen *mobility.Scenario, pc PipelineConfig, seed uint64) []Decision {
 	rng := stats.NewRNG(seed)
@@ -82,10 +82,6 @@ func RunScenario(scen *mobility.Scenario, pc PipelineConfig, seed uint64) []Deci
 	if csiPeriod <= 0 {
 		csiPeriod = 0.05
 	}
-	tofPeriod := pc.ToF.SampleInterval
-	if tofPeriod <= 0 {
-		tofPeriod = 0.02
-	}
 	for t := 0.0; t < scen.Duration; {
 		// Advance to the next event.
 		t = nextCSI
@@ -99,7 +95,7 @@ func RunScenario(scen *mobility.Scenario, pc PipelineConfig, seed uint64) []Deci
 			if cls.ToFActive() {
 				cls.ObserveToF(t, meter.Raw(link.Distance(t)))
 			}
-			nextToF += tofPeriod
+			nextToF += tof.SampleInterval
 		}
 		if t == nextCSI {
 			s := link.MeasureInto(t, csiBuf)

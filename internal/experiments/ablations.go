@@ -189,7 +189,7 @@ func AblationWidth(cfg Config) Result {
 				stats.NewRNG(cfg.Seed+uint64(r)+9))
 			link.Width = width
 			lc := ratecontrol.LinkConfig{Width: width, SGI: true, MPDUBytes: 1500, MaxStreams: 2}
-			return ratecontrol.Run(link, ratecontrol.NewAtheros(lc), nil, dur, nil).Mbps
+			return ratecontrol.Run(link, ratecontrol.NewAtheros(lc), dur).Mbps
 		})
 		return stats.Mean(all)
 	}
@@ -296,7 +296,7 @@ func AblationOrbit(cfg Config) Result {
 				if cls.ToFActive() {
 					cls.ObserveToF(tt, meter.Raw(ch.Distance(tt)))
 				}
-				nextToF += 0.02
+				nextToF += tof.SampleInterval
 			}
 		}
 		return orbitRes{base: base, ext: 100 * float64(macro) / float64(max(total, 1))}

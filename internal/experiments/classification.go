@@ -227,14 +227,16 @@ func Figure2c(cfg Config) Result {
 // macro walk toward/away from the AP.
 func Figure4(cfg Config) Result {
 	dur := cfg.scaleDur(60, 20)
+	interval := core.DefaultConfig().MedianInterval
 	mkSeries := func(name string, scen *mobility.Scenario, seed uint64) stats.Series {
 		meter := tof.NewMeter(tof.DefaultConfig(), cfg.rng(seed))
+		var meds tof.Medians
 		var pts []stats.Point
-		for i := 0; i < int(dur/meter.Config().SampleInterval); i++ {
-			t := float64(i) * meter.Config().SampleInterval
-			d := scen.Client.At(t).Dist(scen.AP)
-			if med, ok := meter.Observe(t, d); ok {
-				pts = append(pts, stats.Point{X: t, Y: med - tof.DefaultConfig().OffsetCycles})
+		for i := 0; i < int(dur/tof.SampleInterval); i++ {
+			t := float64(i) * tof.SampleInterval
+			raw := meter.Raw(scen.Client.At(t).Dist(scen.AP))
+			if med, ok := meds.Add(t, raw, interval); ok {
+				pts = append(pts, stats.Point{X: t, Y: med - meter.Config().OffsetCycles})
 			}
 		}
 		return stats.Series{Name: name, Points: pts}

@@ -59,6 +59,12 @@ var goldenCases = []struct {
 	// Both run sim.RunRoaming through scans and handoffs.
 	{id: "fig7b", scale: 0.15},
 	{id: "abl-80211r", scale: 0.15},
+	// ToF canon: the per-second median series (Fig 4), the classifier's
+	// ToF-window sweep (Fig 6b), and the AoA extension riding on the base
+	// classifier's trend test (abl-orbit).
+	{id: "fig4", scale: 0.15},
+	{id: "fig6b", scale: 0.15},
+	{id: "abl-orbit", scale: 0.15, slow: true},
 }
 
 // goldenSeed is fixed and disjoint from the calibration seeds used inside

@@ -132,7 +132,7 @@ func TestAtherosProbeFailureStays(t *testing.T) {
 func TestAtherosConvergesToSustainableRate(t *testing.T) {
 	link := testLink(mobility.Static, 1)
 	a := NewAtheros(DefaultLinkConfig())
-	res := Run(link, a, nil, 3, nil)
+	res := Run(link, a, 3)
 	if res.Mbps <= 0 {
 		t.Fatal("no throughput on a static link")
 	}
@@ -257,18 +257,9 @@ func TestESNRIgnoresMissingCSI(t *testing.T) {
 
 func TestRunProducesThroughput(t *testing.T) {
 	link := testLink(mobility.Static, 11)
-	res := Run(link, NewAtheros(DefaultLinkConfig()), nil, 2, nil)
+	res := Run(link, NewAtheros(DefaultLinkConfig()), 2)
 	if res.Mbps <= 0 || res.Frames == 0 {
 		t.Fatalf("Run = %+v", res)
-	}
-}
-
-func TestRunHookIsCalled(t *testing.T) {
-	link := testLink(mobility.Static, 12)
-	calls := 0
-	Run(link, NewAtheros(DefaultLinkConfig()), nil, 0.5, func(float64) { calls++ })
-	if calls == 0 {
-		t.Fatal("hook never called")
 	}
 }
 
@@ -288,10 +279,10 @@ func TestMobilityAwareBeatsStockUnderMobility(t *testing.T) {
 			ch := channel.New(channel.DefaultConfig(), scen, stats.NewRNG(s2))
 			return mac.NewLink(ch, stats.NewRNG(s2+7))
 		}
-		stockRes := Run(mkLink(seed+100), NewAtheros(DefaultLinkConfig()), nil, 12, nil)
+		stockRes := Run(mkLink(seed+100), NewAtheros(DefaultLinkConfig()), 12)
 		ma := NewMobilityAware(DefaultLinkConfig())
 		ma.SetState(core.StateMacroToward)
-		awareRes := Run(mkLink(seed+100), ma, nil, 12, nil)
+		awareRes := Run(mkLink(seed+100), ma, 12)
 		stock = append(stock, stockRes.Mbps)
 		aware = append(aware, awareRes.Mbps)
 	}

@@ -5,18 +5,6 @@ import (
 	"mobiwlan/internal/phy"
 )
 
-// AggregationFunc decides how many MPDUs to aggregate for a frame sent at
-// time t at the given MCS. The default policy fills a 4 ms aggregation
-// time limit (the stock Atheros configuration, paper §5).
-type AggregationFunc func(t float64, m phy.MCS) int
-
-// DefaultAggregation returns the stock fixed-4 ms policy for a link.
-func DefaultAggregation(lc LinkConfig) AggregationFunc {
-	return func(t float64, m phy.MCS) int {
-		return phy.MPDUsForAggregationTime(m, lc.Width, lc.SGI, 4e-3, lc.MPDUBytes)
-	}
-}
-
 // RunResult summarizes a saturated-download run.
 type RunResult struct {
 	// Mbps is the achieved MAC goodput.
@@ -30,24 +18,16 @@ type RunResult struct {
 }
 
 // Run drives the adapter over the link with saturated download traffic for
-// duration seconds. agg may be nil (stock 4 ms aggregation). onFrame, if
-// non-nil, runs before every frame — the hook the simulator uses to push
-// classifier state into StateAware adapters.
-func Run(link *mac.Link, ad Adapter, agg AggregationFunc, duration float64, onFrame func(t float64)) RunResult {
-	lc := LinkConfig{Width: link.Width, SGI: link.SGI, MPDUBytes: link.MPDUBytes, MaxStreams: link.MaxStreams()}
-	if agg == nil {
-		agg = DefaultAggregation(lc)
-	}
+// duration seconds, aggregating up to the stock 4 ms time limit (the
+// Atheros configuration, paper §5).
+func Run(link *mac.Link, ad Adapter, duration float64) RunResult {
 	var res RunResult
 	var bits float64
 	var mcsWeighted float64
 	t := 0.0
 	for t < duration {
-		if onFrame != nil {
-			onFrame(t)
-		}
 		m := ad.SelectRate(t)
-		n := agg(t, m)
+		n := phy.MPDUsForAggregationTime(m, link.Width, link.SGI, 4e-3, link.MPDUBytes)
 		fr := link.Transmit(t, m, n)
 		ad.OnResult(t+fr.Airtime, fr)
 		bits += fr.Goodput(link.MPDUBytes)

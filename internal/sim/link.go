@@ -105,7 +105,6 @@ func RunLink(scen *mobility.Scenario, opt LinkOptions, seed uint64) LinkResult {
 	var csiBuf *csi.Matrix // reused measurement buffer; the classifier copies
 	nextCSI, nextToF := 0.0, 0.0
 	csiPeriod := cls.Config().CSISamplePeriod
-	tofPeriod := tof.DefaultConfig().SampleInterval
 	const idleStep = 1e-3
 
 	t := 0.0
@@ -123,7 +122,7 @@ func RunLink(scen *mobility.Scenario, opt LinkOptions, seed uint64) LinkResult {
 			if cls.ToFActive() {
 				cls.ObserveToF(nextToF, meter.Raw(ch.Distance(nextToF)))
 			}
-			nextToF += tofPeriod
+			nextToF += tof.SampleInterval
 		}
 
 		state := core.StateUnknown

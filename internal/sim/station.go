@@ -126,7 +126,7 @@ func (s *station) catchUp(t float64) {
 		for i, ch := range s.chans {
 			s.filters[i].Add(s.meter.Raw(ch.Distance(s.nextToF)))
 		}
-		s.nextToF += 0.02
+		s.nextToF += tof.SampleInterval
 	}
 	if t-s.lastFlush >= 1 {
 		s.lastFlush = t

@@ -4,8 +4,13 @@
 // ACK at the PHY clock resolution. After subtracting the fixed SIFS wait,
 // the residual is the round-trip propagation time — proportional to the
 // AP-client distance but heavily quantized and jittered, so raw readings
-// are useless and the classifier relies on per-second median filtering and
-// windowed trend detection.
+// are useless on their own.
+//
+// The package holds the whole ToF pipeline: Meter draws raw readings every
+// SampleInterval, Medians reduces them to per-second medians, and
+// TrendDetector applies the paper's windowed monotone-trend rule. The
+// classifier (internal/core) and the controller's per-AP probes both use
+// it, so the rule exists once.
 package tof
 
 import (
@@ -16,6 +21,10 @@ import (
 
 // SpeedOfLight in meters per second.
 const SpeedOfLight = 299792458.0
+
+// SampleInterval is the raw ToF sampling period in seconds: one reading
+// per data-ACK exchange used, every 20 ms.
+const SampleInterval = 0.020
 
 // Config holds the measurement-model parameters.
 type Config struct {
@@ -29,23 +38,15 @@ type Config struct {
 	// OffsetCycles is the fixed pipeline offset (SIFS, Tx/Rx turnaround);
 	// constant per chipset and irrelevant to trend detection.
 	OffsetCycles float64
-	// SampleInterval is the raw sampling period in seconds (one reading
-	// per data-ACK exchange used; 20 ms default).
-	SampleInterval float64
-	// MedianInterval is the aggregation period of the median filter in
-	// seconds (1 s in the paper).
-	MedianInterval float64
 }
 
-// DefaultConfig matches the paper's setup: per-second medians over raw
-// readings taken every 20 ms with a couple cycles of jitter.
+// DefaultConfig matches the paper's setup: a couple of cycles of jitter
+// on the 88 MHz timestamp clock.
 func DefaultConfig() Config {
 	return Config{
-		ClockHz:        88e6,
-		JitterCycles:   2.0,
-		OffsetCycles:   1320, // ~15 us SIFS + turnaround, constant
-		SampleInterval: 0.020,
-		MedianInterval: 1.0,
+		ClockHz:      88e6,
+		JitterCycles: 2.0,
+		OffsetCycles: 1320, // ~15 us SIFS + turnaround, constant
 	}
 }
 
@@ -56,13 +57,10 @@ func (c Config) CyclesPerMeter() float64 {
 }
 
 // Meter converts true distances into the noisy, quantized ToF readings an
-// AP would observe, and aggregates them into per-second medians.
+// AP would observe.
 type Meter struct {
-	cfg       Config
-	rng       *stats.RNG
-	filter    stats.MedianFilter
-	lastFlush float64
-	started   bool
+	cfg Config
+	rng *stats.RNG
 }
 
 // NewMeter returns a ToF meter with the given configuration and noise seed.
@@ -82,25 +80,36 @@ func (m *Meter) Raw(distance float64) float64 {
 	return math.Round(cycles)
 }
 
-// Observe feeds one raw reading (taken at time t for the given distance)
-// into the median filter. It returns (median, true) whenever a median
-// aggregation period completes, and (0, false) otherwise.
-func (m *Meter) Observe(t, distance float64) (float64, bool) {
+// Medians is the median stage of the ToF pipeline: it buffers raw
+// readings and emits their median each time the reading clock has
+// advanced by the aggregation interval (1 s in the paper). The clock is
+// keyed on reading time and starts at the first reading after a Reset.
+// The zero value is ready to use.
+type Medians struct {
+	filter  stats.MedianFilter
+	last    float64
+	started bool
+}
+
+// Add buffers one raw reading taken at time t. It returns (median, true)
+// when at least interval seconds have passed since the previous median
+// (or since the first reading), and (0, false) otherwise.
+func (m *Medians) Add(t, raw, interval float64) (float64, bool) {
 	if !m.started {
 		m.started = true
-		m.lastFlush = t
+		m.last = t
 	}
-	m.filter.Add(m.Raw(distance))
-	if t-m.lastFlush >= m.cfg.MedianInterval {
-		m.lastFlush = t
+	m.filter.Add(raw)
+	if t-m.last >= interval {
+		m.last = t
 		return m.filter.Flush()
 	}
 	return 0, false
 }
 
-// Reset clears buffered raw samples and restarts aggregation, used when ToF
-// measurement is stopped and restarted by the classifier.
-func (m *Meter) Reset() {
+// Reset drops the buffered readings and restarts the clock at the next
+// Add, used when the classifier stops and restarts ToF collection.
+func (m *Medians) Reset() {
 	m.filter.Flush()
 	m.started = false
 }
@@ -157,15 +166,3 @@ func (d *TrendDetector) Trend() stats.Trend {
 
 // Reset clears the detector's window.
 func (d *TrendDetector) Reset() { d.window.Reset() }
-
-// DistanceEstimate converts a (median-filtered) ToF reading in clock
-// cycles to an AP-client distance estimate in meters, given the chipset's
-// calibrated fixed offset — the SAIL-style ranging primitive (paper ref.
-// [4]) the roaming controller can use for coarse localization.
-func (c Config) DistanceEstimate(medianCycles float64) float64 {
-	d := (medianCycles - c.OffsetCycles) / c.CyclesPerMeter()
-	if d < 0 {
-		return 0
-	}
-	return d
-}

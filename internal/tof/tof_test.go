@@ -60,13 +60,17 @@ func TestRawJitterMagnitude(t *testing.T) {
 	}
 }
 
-func TestObserveEmitsMediansPerInterval(t *testing.T) {
-	cfg := DefaultConfig()
-	m := NewMeter(cfg, stats.NewRNG(4))
+// medianInterval is the paper's 1 s aggregation period (core.Config's
+// MedianInterval default).
+const medianInterval = 1.0
+
+func TestMediansEmitPerInterval(t *testing.T) {
+	m := NewMeter(DefaultConfig(), stats.NewRNG(4))
+	var meds Medians
 	emitted := 0
 	for i := 0; i < 500; i++ { // 10 s at 20 ms
-		tt := float64(i) * cfg.SampleInterval
-		if _, ok := m.Observe(tt, 10); ok {
+		tt := float64(i) * SampleInterval
+		if _, ok := meds.Add(tt, m.Raw(10), medianInterval); ok {
 			emitted++
 		}
 	}
@@ -78,10 +82,11 @@ func TestObserveEmitsMediansPerInterval(t *testing.T) {
 func TestMedianNoiseReduction(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewMeter(cfg, stats.NewRNG(5))
+	var meds Medians
 	var medians []float64
 	for i := 0; i < 3000; i++ {
-		tt := float64(i) * cfg.SampleInterval
-		if med, ok := m.Observe(tt, 10); ok {
+		tt := float64(i) * SampleInterval
+		if med, ok := meds.Add(tt, m.Raw(10), medianInterval); ok {
 			medians = append(medians, med)
 		}
 	}
@@ -95,18 +100,20 @@ func TestMedianNoiseReduction(t *testing.T) {
 	}
 }
 
-func TestMeterReset(t *testing.T) {
-	cfg := DefaultConfig()
-	m := NewMeter(cfg, stats.NewRNG(6))
-	m.Observe(0, 10)
-	m.Observe(0.02, 10)
-	m.Reset()
-	if m.filter.Len() != 0 {
+func TestMediansReset(t *testing.T) {
+	var meds Medians
+	meds.Add(0, 10, medianInterval)
+	meds.Add(0.02, 10, medianInterval)
+	meds.Reset()
+	if meds.filter.Len() != 0 {
 		t.Fatal("Reset did not clear the filter")
 	}
-	// After reset, aggregation restarts from the next observation time.
-	if _, ok := m.Observe(5, 10); ok {
-		t.Fatal("first observation after reset should not emit a median")
+	// After reset, aggregation restarts from the next reading's time.
+	if _, ok := meds.Add(5, 10, medianInterval); ok {
+		t.Fatal("first reading after reset should not emit a median")
+	}
+	if med, ok := meds.Add(6, 12, medianInterval); !ok || med != 11 {
+		t.Fatalf("one interval after reset: median %v, ok %v; want 11, true", med, ok)
 	}
 }
 
@@ -171,14 +178,14 @@ func TestTrendDetectorReset(t *testing.T) {
 // macro (increasing or decreasing).
 func endToEnd(t *testing.T, scen *mobility.Scenario, seed uint64, window int) (macroFrac float64, firstTrend stats.Trend) {
 	t.Helper()
-	cfg := DefaultConfig()
-	m := NewMeter(cfg, stats.NewRNG(seed))
+	m := NewMeter(DefaultConfig(), stats.NewRNG(seed))
+	var meds Medians
 	d := NewTrendDetector(window, 0, 1.5)
 	total, macro := 0, 0
-	for i := 0; i < int(scen.Duration/cfg.SampleInterval); i++ {
-		tt := float64(i) * cfg.SampleInterval
-		dist := scen.Client.At(tt).Dist(scen.AP)
-		if med, ok := m.Observe(tt, dist); ok {
+	for i := 0; i < int(scen.Duration/SampleInterval); i++ {
+		tt := float64(i) * SampleInterval
+		raw := m.Raw(scen.Client.At(tt).Dist(scen.AP))
+		if med, ok := meds.Add(tt, raw, medianInterval); ok {
 			d.Push(med)
 			if d.Ready() {
 				total++
@@ -274,6 +281,9 @@ func TestLargerWindowReducesFalsePositives(t *testing.T) {
 	}
 }
 
+// TestDistanceEstimateRoundTrip checks the meter's ranging calibration:
+// the median of many raw readings, less the fixed offset, over
+// CyclesPerMeter, lands near the true distance.
 func TestDistanceEstimateRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewMeter(cfg, stats.NewRNG(31))
@@ -285,12 +295,9 @@ func TestDistanceEstimateRoundTrip(t *testing.T) {
 			f.Add(m.Raw(want))
 		}
 		med, _ := f.Flush()
-		got := cfg.DistanceEstimate(med)
+		got := (med - cfg.OffsetCycles) / cfg.CyclesPerMeter()
 		if math.Abs(got-want) > 1.5 {
-			t.Errorf("DistanceEstimate(%v m) = %v m", want, got)
+			t.Errorf("distance from the median at %v m = %v m", want, got)
 		}
-	}
-	if cfg.DistanceEstimate(0) != 0 {
-		t.Error("below-offset readings should clamp to 0")
 	}
 }

@@ -32,6 +32,8 @@ var hotpathManifest = map[string][]hotpathPin{
 	},
 	"TestMeasureIntoAllocFree": {
 		{"internal/channel/channel.go", "Model", "MeasureInto"},
+		{"internal/fastmath/lanes_amd64.go", "", "boxMuller4"},
+		{"internal/stats/uniform_amd64.go", "", "uniformPairs4"},
 	},
 	"TestKernelStrategiesAllocFree": {
 		{"internal/channel/kernel.go", "Model", "evalIncremental"},

@@ -21,6 +21,7 @@ import (
 	"mobiwlan/internal/ctlproto"
 	"mobiwlan/internal/experiments"
 	"mobiwlan/internal/loadgen"
+	"mobiwlan/internal/mac"
 	"mobiwlan/internal/mobility"
 	"mobiwlan/internal/parallel"
 	"mobiwlan/internal/phy"
@@ -166,6 +167,36 @@ func BenchmarkChannelMeasure(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := ch.MeasureInto(float64(i%10000)*0.01, h)
 		h = s.CSI
+	}
+}
+
+// BenchmarkMeasureStatic is one measurement of a static client, which
+// every call after the first serves from the response cache: what is left
+// is the CSI noise fill and the RSSI draw, the cost of every static
+// client's classifier snapshot and of every roaming tick's poll of an AP.
+func BenchmarkMeasureStatic(b *testing.B) {
+	_, ch := benchScenario(mobility.Static)
+	h := ch.MeasureInto(0, nil).CSI // warm the buffer and the cache outside the timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h = ch.MeasureInto(float64(i%10000)*0.05, h).CSI
+	}
+}
+
+// BenchmarkLinkTransmit is one 16-MPDU frame of a walking client: the
+// frame-start measurement, the response at the four channel-aging
+// anchors and the per-MPDU PER loop, the path mac.Link.Transmit runs for
+// every frame the simulators send.
+func BenchmarkLinkTransmit(b *testing.B) {
+	_, ch := benchScenario(mobility.Macro)
+	l := mac.NewLink(ch, stats.NewRNG(9))
+	mcs := phy.ByIndex(12)
+	_ = l.Transmit(0, mcs, 16) // warm the link's buffers outside the timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = l.Transmit(float64(i%10000)*0.01, mcs, 16)
 	}
 }
 

@@ -54,7 +54,8 @@ func TestCacheBitIdenticalAcrossModes(t *testing.T) {
 			var bc, bu *csi.Matrix
 			for _, tt := range times {
 				sc := mc.MeasureInto(tt, bc)
-				su := mu.sample(tt, mu.referenceInto(tt, bu))
+				ref := mu.referenceInto(tt, bu)
+				su := mu.sample(tt, ref, ref.AvgPower())
 				bc, bu = sc.CSI, su.CSI
 				requireSameBits(t, "measure", tt, sc.CSI, su.CSI)
 				if sc.RSSIdBm != su.RSSIdBm || sc.SNRdB != su.SNRdB {

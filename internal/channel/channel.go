@@ -162,9 +162,10 @@ type Model struct {
 	contribs []complex128
 	// legsTx/legsRx, amps and powIdx are pass scratch for the batched
 	// kernel (kernel.go): per-antenna bounce-leg distances at
-	// [anti*nPaths+pi], per-path amplitudes, and the gathered path-index
-	// set the breakpoint/phasor passes operate on. Sized alongside the
-	// cache's per-path state.
+	// [anti*nPaths+pi] (those of the committed epoch's vias between
+	// calls), per-chain amplitudes at [pair*nPaths+pi], and the gathered
+	// chain-index set the breakpoint/phasor passes operate on. Sized
+	// alongside the cache's per-path state.
 	legsTx, legsRx []float64
 	amps           []float64
 	powIdx         []int32
@@ -243,6 +244,13 @@ type respCache struct {
 	shadowDB    float64
 	shadowScale float64
 	shadowOK    bool
+
+	// power memoizes resp's AvgPower, the clean response's power that
+	// MeasureInto scales the CSI noise by; powerOK is cleared by every
+	// miss, so a hit reuses the epoch's value. Same matrix, same sum,
+	// same bits.
+	power   float64
+	powerOK bool
 
 	hits, misses, pathEvals, pathReuses uint64
 }
@@ -390,8 +398,8 @@ func (m *Model) ResponseInto(t float64, h *csi.Matrix) *csi.Matrix {
 		c.rot = make([]complex128, nPairs*nPaths)
 		m.legsTx = make([]float64, m.cfg.NTx*nPaths)
 		m.legsRx = make([]float64, m.cfg.NRx*nPaths)
-		m.amps = make([]float64, nPaths)
-		m.powIdx = make([]int32, nPaths)
+		m.amps = make([]float64, nPairs*nPaths)
+		m.powIdx = make([]int32, nPairs*nPaths)
 		if m.fused {
 			m.contribsP = make([]complex128, nPairs*nPaths)
 			m.rotsP = make([]complex128, nPairs*nPaths)
@@ -419,6 +427,7 @@ func (m *Model) ResponseInto(t float64, h *csi.Matrix) *csi.Matrix {
 		return h
 	}
 	c.misses++
+	c.powerOK = false
 
 	// Resolve the position-dependent shadowing factor first: it depends
 	// only on the client position, and the fused sweep folds it into the
@@ -461,36 +470,48 @@ func (m *Model) Measure(t float64) Sample {
 //
 //mobilint:hotpath
 func (m *Model) MeasureInto(t float64, h *csi.Matrix) Sample {
-	return m.sample(t, m.ResponseInto(t, h))
+	h = m.ResponseInto(t, h)
+	c := &m.cache
+	if !c.powerOK {
+		c.power = h.AvgPower()
+		c.powerOK = true
+	}
+	return m.sample(t, h, c.power)
 }
 
 // noiseChunk is how many CSI entries one NormFill call covers in sample:
 // 128 complex entries, 2 KB of normals on the stack.
 const noiseChunk = 128
 
-// sample turns the noise-free response h at time t into a Sample: it adds
-// CSI estimation noise to h in place and derives the reported RSSI and
-// SNR, drawing from the noise RNG in a fixed order.
-func (m *Model) sample(t float64, h *csi.Matrix) Sample {
-	// Estimation noise relative to the channel's RMS amplitude. The noise
-	// entries are drawn in storage order (sc, tx, rx), which linear
-	// iteration over the backing array preserves.
-	rms := math.Sqrt(h.AvgPower())
+// sample turns the noise-free response h at time t, whose AvgPower is
+// power, into a Sample: it adds CSI estimation noise to h in place and
+// derives the reported RSSI and SNR, drawing from the noise RNG in a
+// fixed order.
+func (m *Model) sample(t float64, h *csi.Matrix, power float64) Sample {
+	// Estimation noise relative to the channel's RMS amplitude.
+	rms := math.Sqrt(power)
 	sigma := rms * m.csiNoiseScale / math.Sqrt2
 	data := h.Data()
 	// NormFill draws the standard normals the Gaussian(0, sigma) calls
 	// would, in the same order (re, then im, per entry); each entry adds
-	// 0 + sigma*z, which is what Gaussian returns.
+	// 0 + sigma*z, which is what Gaussian returns. The noise entries are
+	// drawn in storage order (sc, tx, rx), and the same loop sums the
+	// noisy entries' power in that order with AvgPower's expression, so
+	// the sum is the one AvgPower would return for the noisy matrix.
 	var z [2 * noiseChunk]float64
+	var sum float64
 	for lo := 0; lo < len(data); lo += noiseChunk {
 		blk := data[lo:min(lo+noiseChunk, len(data))]
 		zs := z[:2*len(blk)]
 		m.noise.NormFill(zs)
 		for i := range blk {
-			blk[i] += complex(0+sigma*zs[2*i], 0+sigma*zs[2*i+1])
+			v := blk[i] + complex(0+sigma*zs[2*i], 0+sigma*zs[2*i+1])
+			blk[i] = v
+			re, im := real(v), imag(v)
+			sum += re*re + im*im
 		}
 	}
-	rssi := m.rssiFrom(h)
+	rssi := m.rssiFrom(sum / float64(len(data)))
 	return Sample{
 		Time:     t,
 		CSI:      h,
@@ -500,10 +521,9 @@ func (m *Model) sample(t float64, h *csi.Matrix) Sample {
 	}
 }
 
-// rssiFrom converts a channel estimate to a reported RSSI value, with
-// measurement noise and hardware quantization.
-func (m *Model) rssiFrom(h *csi.Matrix) float64 {
-	p := h.AvgPower()
+// rssiFrom converts the average power p of a channel estimate to a
+// reported RSSI value, with measurement noise and hardware quantization.
+func (m *Model) rssiFrom(p float64) float64 {
 	if p <= 0 {
 		return -120
 	}

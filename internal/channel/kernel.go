@@ -25,14 +25,18 @@ import (
 // the moving chains.
 //
 // The evaluation is organised as struct-of-arrays passes: antenna-leg
-// distances, then per-path amplitudes, then the gathered breakpoint
-// powers, then the phasor Sincos fill, then the subcarrier chain loop.
-// Splitting the per-path work this way changes no per-value operation —
-// each pass applies exactly the op subsequence the scalar reference
-// applies to that value — but it gathers the long-latency calls (Pow's
-// Log/Exp pair, Sincos) of all changed paths into batches, which
-// fastmath's slice kernels run four paths to an instruction stream
-// instead of serialising one path's full pipeline at a time.
+// distances, then per-chain lengths and amplitudes for every antenna
+// pair, then the gathered breakpoint powers, then the phasor Sincos fill,
+// then the per-pair subcarrier chain loop. Splitting the per-path work
+// this way changes no per-value operation — each pass applies exactly the
+// op subsequence the scalar reference applies to that value — but it
+// gathers the long-latency calls (Pow's Log/Exp pair, Sincos) of every
+// changed chain of every pair into one batch per evaluation, which
+// fastmath's slice kernels run four chains to an instruction stream
+// instead of serialising one chain's full pipeline at a time. A chain's
+// values depend on its own length and gain only, so running all pairs'
+// re-keying before any pair's passes, and all passes before any pair's
+// sweep, reorders no operation on any value.
 //
 // Bit-identity argument (see DESIGN.md, "Batched SoA response kernel"):
 // the value the scalar reference adds at subcarrier sc for path pi is
@@ -61,6 +65,30 @@ func pow075(x float64) float64 {
 	return math.Ldexp(a1, xe)
 }
 
+// mulFrexpLdexp returns math.Ldexp(a*frac, exp) for frac, exp =
+// math.Frexp(r), the tail of pow075 after its Exp, as exponent
+// arithmetic: for a normal r, frac is r's mantissa with the exponent of
+// 0.5 and exp its unbiased exponent plus one, read from r's bits; and
+// when a*frac scaled by 2^exp is normal, the multiply by 2^exp is exact
+// and so equals Ldexp, which sets the same exponent bits. ok is false,
+// and the result unset, for anything else: a zero, subnormal, infinite
+// or NaN r, or a result Ldexp would round to a subnormal or overflow.
+func mulFrexpLdexp(a, r float64) (v float64, ok bool) {
+	const expMask = 0x7ff
+	b := math.Float64bits(r)
+	be := int(b>>52) & expMask
+	if be == 0 || be == expMask {
+		return 0, false
+	}
+	exp := be - 0x3fe
+	y := a * math.Float64frombits(b&^(expMask<<52)|0x3fe<<52)
+	ye := int(math.Float64bits(y)>>52) & expMask
+	if ye == 0 || ye == expMask || ye+exp < 1 || ye+exp >= expMask || exp+0x3ff >= expMask {
+		return 0, false
+	}
+	return y * math.Float64frombits(uint64(exp+0x3ff)<<52), true
+}
+
 // pow075Exact reports whether pow075 reproduces math.Pow bit-for-bit on
 // this platform, checked once over a deterministic probe set. True
 // wherever math.Pow is the portable Go implementation (everything but
@@ -76,42 +104,49 @@ var pow075Exact = func() bool {
 	return true
 }()
 
-// fillLegs computes the client-independent (AP-side) and client-dependent
-// antenna-leg distances for every bounce path in paths[lo:]. A bounce
-// length is txPos.Dist(via) + via.Dist(rxPos); each Dist result depends
-// on one antenna only, so computing each leg once per antenna and adding
-// the memoized float64s per pair is the identical addition the scalar
-// reference performs — pure-function memoization, not a reassociation.
-func (m *Model) fillLegs(client geom.Point, lo int) {
+// fillLegs computes the AP-side and client-side antenna-leg distances of
+// the bounce paths in paths[first:]. A bounce length is
+// txPos.Dist(via) + via.Dist(rxPos); each Dist result depends on one
+// antenna and the via only, so computing each leg once per antenna and
+// adding the memoized float64s per pair is the identical addition the
+// scalar reference performs — pure-function memoization, not a
+// reassociation. The legs held between calls are those of the committed
+// epoch's vias and client: each evaluation recomputes exactly the legs
+// whose via or client changed, then commits them. So a path whose via
+// matches the epoch key keeps its AP-side legs, and its client-side legs
+// too unless the client moved.
+func (m *Model) fillLegs(client geom.Point, first int) {
+	c := &m.cache
 	nPaths := len(m.paths)
-	for txi, txOff := range m.apAnts {
-		txPos := m.ap.Add(txOff)
-		legs := m.legsTx[txi*nPaths : (txi+1)*nPaths]
-		for pi := lo; pi < nPaths; pi++ {
-			if p := &m.paths[pi]; p.bounce {
-				legs[pi] = txPos.Dist(p.via)
+	clientSame := c.epochValid && client == c.client
+	for pi := first; pi < nPaths; pi++ {
+		p := &m.paths[pi]
+		if !p.bounce {
+			continue
+		}
+		viaSame := c.epochValid && p.via == c.vias[pi]
+		if viaSame && clientSame {
+			continue
+		}
+		if !viaSame {
+			for txi, txOff := range m.apAnts {
+				m.legsTx[txi*nPaths+pi] = m.ap.Add(txOff).Dist(p.via)
 			}
 		}
-	}
-	for rxi, rxOff := range m.clientAnts {
-		rxPos := client.Add(rxOff)
-		legs := m.legsRx[rxi*nPaths : (rxi+1)*nPaths]
-		for pi := lo; pi < nPaths; pi++ {
-			if p := &m.paths[pi]; p.bounce {
-				legs[pi] = p.via.Dist(rxPos)
-			}
+		for rxi, rxOff := range m.clientAnts {
+			m.legsRx[rxi*nPaths+pi] = p.via.Dist(client.Add(rxOff))
 		}
 	}
 }
 
-// laneChunk is how many paths one breakpoint or phasor batch gathers;
-// longer index sets run in several batches.
+// laneChunk is how many chains one breakpoint or phasor chunk gathers;
+// an evaluation's batch runs in chunks of this size, each a multiple of
+// the four-lane block, so only the batch's last chunk has a lane tail.
 const laneChunk = 32
 
 // laneScratch is the gather space of the breakpoint and phasor passes.
-// evalIncremental declares one on its stack per evaluation, so the
-// zeroing of the arrays is paid once per call, not once per antenna pair,
-// and a Model carries no extra heap scratch.
+// evalIncremental declares one on its stack per evaluation, and a Model
+// carries no extra heap scratch.
 type laneScratch struct {
 	x, y [2 * laneChunk]float64
 	idx  [laneChunk]int32
@@ -121,9 +156,11 @@ type laneScratch struct {
 // into amps. Each amplitude gets exactly the scalar reference's op
 // sequence — amp * pow(bp/length, (n-2)/2) when length > bp. Under
 // pow075OK the ratios of a batch run pow075's sequence element-wise
-// through fastmath's slice kernels: Frexp, Log, ×−0.25, Exp, ×mantissa,
-// Ldexp. Those kernels return the library's bits, so every factor is
-// pow075's, which pow075Exact pins to math.Pow.
+// through fastmath's slice kernels: Log, ×−0.25, Exp, then Frexp's
+// mantissa product and Ldexp as mulFrexpLdexp's exponent arithmetic,
+// declining to math.Frexp and math.Ldexp where it must. Those kernels
+// return the library's bits, so every factor is pow075's, which
+// pow075Exact pins to math.Pow.
 func (m *Model) breakpointPass(amps, lens []float64, idx []int32, n int, ls *laneScratch) {
 	bp := m.cfg.PathLossBreakM
 	if m.pow075OK {
@@ -144,8 +181,12 @@ func (m *Model) breakpointPass(amps, lens []float64, idx []int32, n int, ls *lan
 			}
 			fastmath.ExpSlice(a, a)
 			for k, r := range x {
-				frac, exp := math.Frexp(r)
-				amps[ls.idx[k]] *= math.Ldexp(a[k]*frac, exp)
+				f, ok := mulFrexpLdexp(a[k], r)
+				if !ok {
+					frac, exp := math.Frexp(r)
+					f = math.Ldexp(a[k]*frac, exp)
+				}
+				amps[ls.idx[k]] *= f
 			}
 		}
 		return
@@ -234,7 +275,10 @@ func (m *Model) sweepFused(out, pref []complex128, nSub, nPairs, n, snap, seed i
 //     key reuses the memoized phasors, a changed one recomputes and
 //     overwrites them. At first = 0 this is every path.
 //
-// The accumulation order over paths is untouched in all three regions, so
+// Every pair is re-keyed first, gathering each changed chain as
+// pair*nPaths+pi, so one breakpoint batch and one phasor batch serve the
+// whole evaluation; then each pair's chains are gathered or swept. The
+// accumulation order over paths is untouched in all three regions, so
 // the output is bit-identical to the scalar reference.
 //
 //mobilint:hotpath
@@ -249,32 +293,23 @@ func (m *Model) evalIncremental(client geom.Point, h *csi.Matrix, first int) {
 		start = c.prefLen
 	}
 
+	// Re-key the suffix of every pair: (length, gain) fully determine the
+	// phasor pair — amp is a pure function of them and the fixed config.
+	// Gains are compared against the previous epoch's values (c.gains is
+	// only rewritten by commit), so every pair sees the same
+	// stale-or-fresh verdict.
 	lambdaScale := m.cfg.Wavelength() / (4 * math.Pi)
-	bpActive := m.cfg.PathLossBreakM > 0 && m.cfg.PathLossExponent > 2
-	var ls laneScratch
-	data := h.Data()
 	m.fillLegs(client, first)
+	nb := 0
 	for txi, txOff := range m.apAnts {
 		txPos := m.ap.Add(txOff)
 		legsTx := m.legsTx[txi*nPaths : (txi+1)*nPaths]
 		for rxi, rxOff := range m.clientAnts {
 			rxPos := client.Add(rxOff)
 			legsRx := m.legsRx[rxi*nPaths : (rxi+1)*nPaths]
-			pair := txi*m.cfg.NRx + rxi
-			lens := c.lens[pair*nPaths : (pair+1)*nPaths]
-			ph0 := c.ph0[pair*nPaths : (pair+1)*nPaths]
-			rot := c.rot[pair*nPaths : (pair+1)*nPaths]
-			pref := c.pref[pair*nSub : (pair+1)*nSub]
-			amps := m.amps[:nPaths]
-
-			// Re-key the suffix: (length, gain) fully determine the phasor
-			// pair — amp is a pure function of them and the fixed config.
-			// Gains are compared against the previous epoch's values
-			// (c.gains is only rewritten by commit), so every pair sees the
-			// same stale-or-fresh verdict. Changed paths are gathered and
-			// rebuilt by the batched passes below.
-			nb := 0
-			idx := m.powIdx[:nPaths]
+			base := (txi*m.cfg.NRx + rxi) * nPaths
+			lens := c.lens[base : base+nPaths]
+			amps := m.amps[base : base+nPaths]
 			for pi := first; pi < nPaths; pi++ {
 				p := &m.paths[pi]
 				var length float64
@@ -289,31 +324,37 @@ func (m *Model) evalIncremental(client geom.Point, h *csi.Matrix, first int) {
 				if length != lens[pi] || p.gain != c.gains[pi] {
 					lens[pi] = length
 					amps[pi] = p.gain * lambdaScale / length
-					idx[nb] = int32(pi)
+					m.powIdx[nb] = int32(base + pi)
 					nb++
 				}
 			}
-			c.pathEvals += uint64(nb)
-			c.pathReuses += uint64(nPaths - nb)
-			if bpActive {
-				m.breakpointPass(amps, lens, idx, nb, &ls)
-			}
-			m.phasorPass(amps, lens, ph0, rot, idx, nb, &ls)
-
-			// Gather the chains to run: memoized phasors for paths
-			// [start, first), fresh-or-reused phasors for [first, nPaths).
-			if m.fused {
-				for pi := start; pi < nPaths; pi++ {
-					rowBase := (pi - start) * nPairs
-					m.contribsP[rowBase+pair] = ph0[pi]
-					m.rotsP[rowBase+pair] = rot[pi]
-				}
-				continue
-			}
-			m.contribs = append(m.contribs[:0], ph0[start:nPaths]...)
-			chainSweepPrefixed(data[pair:], pref, m.contribs, rot[start:nPaths],
-				nSub, nPairs, start, first-start)
 		}
+	}
+	c.pathEvals += uint64(nb)
+	c.pathReuses += uint64(nPairs*nPaths - nb)
+	var ls laneScratch
+	if m.cfg.PathLossBreakM > 0 && m.cfg.PathLossExponent > 2 {
+		m.breakpointPass(m.amps, c.lens, m.powIdx, nb, &ls)
+	}
+	m.phasorPass(m.amps, c.lens, c.ph0, c.rot, m.powIdx, nb, &ls)
+
+	// Gather the chains to run: memoized phasors for paths
+	// [start, first), fresh-or-reused phasors for [first, nPaths).
+	data := h.Data()
+	for pair := 0; pair < nPairs; pair++ {
+		ph0 := c.ph0[pair*nPaths : (pair+1)*nPaths]
+		rot := c.rot[pair*nPaths : (pair+1)*nPaths]
+		if m.fused {
+			for pi := start; pi < nPaths; pi++ {
+				rowBase := (pi - start) * nPairs
+				m.contribsP[rowBase+pair] = ph0[pi]
+				m.rotsP[rowBase+pair] = rot[pi]
+			}
+			continue
+		}
+		m.contribs = append(m.contribs[:0], ph0[start:nPaths]...)
+		chainSweepPrefixed(data[pair:], c.pref[pair*nSub:(pair+1)*nSub], m.contribs, rot[start:nPaths],
+			nSub, nPairs, start, first-start)
 	}
 	if m.fused {
 		seed := 0

@@ -148,3 +148,55 @@ func TestPow075MatchesPow(t *testing.T) {
 		}
 	}
 }
+
+// TestMulFrexpLdexpMatchesLibrary pins breakpointPass's exponent
+// arithmetic to math.Frexp and math.Ldexp: over pow075Exact's probe
+// ratios and TestPow075MatchesPow's, with the factor pow075 feeds it and
+// with factors that push the result to the edges of the normal range, it
+// either returns Ldexp(a*frac, exp)'s bits or declines. It must take
+// every in-range ratio the kernel sees and decline zero, subnormal,
+// infinite and NaN ratios and results that Ldexp would round to a
+// subnormal or overflow.
+func TestMulFrexpLdexpMatchesLibrary(t *testing.T) {
+	lib := func(a, r float64) float64 {
+		frac, exp := math.Frexp(r)
+		return math.Ldexp(a*frac, exp)
+	}
+	var ratios []float64
+	for x := 0.999999; len(ratios) < 256; x *= 0.917 {
+		ratios = append(ratios, x)
+	}
+	for x := 1.0; len(ratios) < 656; {
+		x *= 0.971
+		ratios = append(ratios, x)
+	}
+	ratios = append(ratios, 1, 0.999999999, 0.5, 1e-6, 1e-300, 0x1p-1022, 3, 1e300)
+	for _, r := range ratios {
+		a := math.Exp(-0.25 * math.Log(r))
+		for _, f := range []float64{a, 1, 0x1p-60, 0x1p60} {
+			got, ok := mulFrexpLdexp(f, r)
+			if !ok {
+				if r <= 1 && f == a {
+					t.Errorf("declined ratio %g with pow075's factor %g", r, f)
+				}
+				continue
+			}
+			if want := lib(f, r); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("mulFrexpLdexp(%g, %g) = %x, Ldexp/Frexp %x", f, r, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+	for _, c := range []struct{ a, r float64 }{
+		{1, 0}, {1, 5e-324}, {1, 1e-310}, {1, math.Nextafter(0x1p-1022, 0)},
+		{1, math.Inf(1)}, {1, math.NaN()},
+		{0x1p-60, 1e-300},    // result below the normal range
+		{1, math.MaxFloat64}, // 2^exp would overflow
+		{0x1p1000, 0x1p100},  // result overflows
+		{math.Inf(1), 0.5},   // infinite product
+		{5e-324, 0.5},        // subnormal product
+	} {
+		if v, ok := mulFrexpLdexp(c.a, c.r); ok {
+			t.Errorf("mulFrexpLdexp(%g, %g) = %g, want declined", c.a, c.r, v)
+		}
+	}
+}

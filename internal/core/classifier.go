@@ -186,15 +186,16 @@ func StateFor(m mobility.Mode, h mobility.Heading) State {
 type Classifier struct {
 	cfg Config
 
-	// prevCSI is a classifier-owned copy of the last snapshot: ObserveCSI
-	// copies the caller's matrix into it (CloneInto), so callers are free
-	// to reuse their measurement buffer between observations.
-	prevCSI *csi.Matrix
-	// ws backs the allocation-free similarity kernel.
-	ws     csi.Workspace
-	simWin *stats.MovingWindow
-	coarse State // StateStatic / StateEnvironmental / StateMicro placeholder for device mobility
-	hasCSI bool
+	// prev is the last snapshot's amplitude profile and cur the scratch
+	// the next one's is taken into: each snapshot's profile is computed
+	// once and serves two comparisons, and callers are free to reuse
+	// their measurement buffer between observations. hasPrev is false
+	// until the first snapshot.
+	prev, cur csi.Profile
+	hasPrev   bool
+	simWin    *stats.MovingWindow
+	coarse    State // StateStatic / StateEnvironmental / StateMicro placeholder for device mobility
+	hasCSI    bool
 
 	tofActive        bool
 	medians          tof.Medians
@@ -231,17 +232,19 @@ func (c *Classifier) Config() Config { return c.cfg }
 
 // ObserveCSI feeds one CSI snapshot taken at time t. Snapshots should
 // arrive roughly every Config.CSISamplePeriod; the classifier itself is
-// agnostic to the exact spacing. The classifier copies m into its own
-// buffer, so the caller may reuse m for the next measurement; after the
-// buffers warm up the call is allocation-free.
+// agnostic to the exact spacing. The classifier keeps m's amplitude
+// profile, not m, so the caller may reuse m for the next measurement;
+// after the buffers warm up the call is allocation-free.
 //
 //mobilint:hotpath
 func (c *Classifier) ObserveCSI(t float64, m *csi.Matrix) {
-	if c.prevCSI != nil {
-		c.simWin.Push(c.ws.Similarity(c.prevCSI, m))
+	c.cur.Set(m)
+	if c.hasPrev {
+		c.simWin.Push(c.prev.Similarity(&c.cur))
 		c.hasCSI = true
 	}
-	c.prevCSI = m.CloneInto(c.prevCSI)
+	c.prev, c.cur = c.cur, c.prev
+	c.hasPrev = true
 	if !c.hasCSI {
 		return
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"mobiwlan/internal/channel"
 	"mobiwlan/internal/csi"
 	"mobiwlan/internal/mobility"
 	"mobiwlan/internal/stats"
@@ -268,5 +270,52 @@ func TestSimilarityBeforeAnyPair(t *testing.T) {
 	}
 	if c.State() != StateUnknown {
 		t.Fatal("single CSI snapshot should not classify")
+	}
+}
+
+// TestSimilarityWindowMatchesWorkspace pins the classifier's
+// profile-based similarity window to the window of Workspace.Similarity
+// over consecutive snapshots, bit for bit, on a mixed-mode trace: 40
+// snapshots of each mode in turn, measured into one reused buffer, so
+// the trace also crosses from one channel to the next, plus a snapshot
+// of another shape, which both sides must score 0.
+func TestSimilarityWindowMatchesWorkspace(t *testing.T) {
+	cfg := DefaultConfig()
+	c := New(cfg)
+	ref := stats.NewMovingWindow(cfg.SimWindow)
+	var ws csi.Workspace
+	var prev, buf *csi.Matrix
+	observe := func(tt float64, m *csi.Matrix) {
+		t.Helper()
+		if prev != nil {
+			ref.Push(ws.Similarity(prev, m))
+		}
+		prev = m.CloneInto(prev)
+		c.ObserveCSI(tt, m)
+		want := 0.0
+		if ref.Len() > 0 {
+			want = ref.Mean()
+		}
+		if got := c.Similarity(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("t=%v: classifier similarity %v, Workspace window %v", tt, got, want)
+		}
+	}
+	tt := 0.0
+	for i, mode := range mobility.AllModes {
+		scen := mobility.NewScenario(mode, mobility.DefaultSceneConfig(), stats.NewRNG(uint64(40+i)))
+		ch := channel.New(channel.DefaultConfig(), scen, stats.NewRNG(uint64(50+i)))
+		for k := 0; k < 40; k++ {
+			buf = ch.MeasureInto(float64(k)*cfg.CSISamplePeriod, buf).CSI
+			observe(tt, buf)
+			tt += cfg.CSISamplePeriod
+		}
+		if i == 1 {
+			observe(tt, patternedCSI(7).Clone()) // 52x3x2 from another source
+			narrow := csi.NewMatrix(52, 3, 1)
+			for sc := 0; sc < 52; sc++ {
+				narrow.Set(sc, 0, 0, complex(float64(sc), 1))
+			}
+			observe(tt, narrow)
+		}
 	}
 }

@@ -111,39 +111,22 @@ func (m *Matrix) SubcarrierPower(sc int) float64 {
 // two snapshots' CSI amplitude profiles, taken over all subcarriers and
 // antenna pairs. It is 1 for identical channels, near 1 for a stable
 // channel observed through noise, and near 0 for decorrelated channels.
-// Mismatched shapes or degenerate (zero-variance) profiles return 0.
+// Mismatched shapes or degenerate (zero-variance) profiles return 0. It
+// allocates its scratch; hot paths use a Workspace or Profiles.
 func Similarity(a, b *Matrix) float64 {
-	if a == nil || b == nil || !a.SameShape(b) {
-		return 0
-	}
-	n := len(a.data)
-	var ma, mb float64
-	for i := 0; i < n; i++ {
-		ma += cmplx.Abs(a.data[i])
-		mb += cmplx.Abs(b.data[i])
-	}
-	ma /= float64(n)
-	mb /= float64(n)
-	var sab, saa, sbb float64
-	for i := 0; i < n; i++ {
-		da := cmplx.Abs(a.data[i]) - ma
-		db := cmplx.Abs(b.data[i]) - mb
-		sab += da * db
-		saa += da * da
-		sbb += db * db
-	}
-	if saa == 0 || sbb == 0 {
-		return 0
-	}
-	return sab / math.Sqrt(saa*sbb)
+	var w Workspace
+	return w.Similarity(a, b)
 }
 
-// Workspace holds reusable scratch for the hot-path CSI kernels. The zero
-// value is ready to use; buffers grow on first use and are reused after
-// that, so steady-state calls are allocation-free. A Workspace must not be
-// shared between goroutines.
-type Workspace struct {
-	absA, absB []float64
+// Profile is one snapshot's amplitude profile: |H| of every entry in
+// storage order and their sum, which is all Eq. (1) reads of a snapshot.
+// A stream of snapshots needs each profile once: consecutive comparisons
+// share one operand. The zero value is an empty profile; Set reuses its
+// buffer, so steady-state calls are allocation-free.
+type Profile struct {
+	sub, nTx, nRx int
+	amps          []float64
+	sum           float64
 }
 
 // grow returns a scratch slice of length n backed by buf, reallocating
@@ -155,35 +138,37 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// Similarity is the allocation-free equivalent of the package-level
-// Similarity: it computes each entry's amplitude once into the workspace
-// instead of twice per pass, which both removes the redundant Abs calls
-// (the dominant cost) and keeps the two-pass summation order — and
-// therefore the result — bit-identical to Similarity.
-//
-//mobilint:hotpath
-func (w *Workspace) Similarity(a, b *Matrix) float64 {
-	if a == nil || b == nil || !a.SameShape(b) {
+// Set makes p the amplitude profile of m, summing the amplitudes in
+// storage order.
+func (p *Profile) Set(m *Matrix) {
+	p.sub, p.nTx, p.nRx = m.Subcarriers, m.NTx, m.NRx
+	p.amps = grow(p.amps, len(m.data))
+	var sum float64
+	for i, v := range m.data {
+		a := cmplx.Abs(v)
+		p.amps[i] = a
+		sum += a
+	}
+	p.sum = sum
+}
+
+// Similarity returns Eq. (1) for the snapshots whose profiles p and q
+// are: the value Similarity returns for those two matrices, bit for bit,
+// since it reads the same amplitudes and sums in the same order. Profiles
+// of different shapes, empty profiles and degenerate (zero-variance)
+// profiles return 0.
+func (p *Profile) Similarity(q *Profile) float64 {
+	if p.sub != q.sub || p.nTx != q.nTx || p.nRx != q.nRx || len(p.amps) == 0 {
 		return 0
 	}
-	n := len(a.data)
-	w.absA = grow(w.absA, n)
-	w.absB = grow(w.absB, n)
-	var ma, mb float64
-	for i := 0; i < n; i++ {
-		aa := cmplx.Abs(a.data[i])
-		ab := cmplx.Abs(b.data[i])
-		w.absA[i] = aa
-		w.absB[i] = ab
-		ma += aa
-		mb += ab
-	}
-	ma /= float64(n)
-	mb /= float64(n)
+	n := len(p.amps)
+	ma := p.sum / float64(n)
+	mb := q.sum / float64(n)
+	amps := q.amps[:n]
 	var sab, saa, sbb float64
-	for i := 0; i < n; i++ {
-		da := w.absA[i] - ma
-		db := w.absB[i] - mb
+	for i, a := range p.amps {
+		da := a - ma
+		db := amps[i] - mb
 		sab += da * db
 		saa += da * da
 		sbb += db * db
@@ -192,6 +177,27 @@ func (w *Workspace) Similarity(a, b *Matrix) float64 {
 		return 0
 	}
 	return sab / math.Sqrt(saa*sbb)
+}
+
+// Workspace holds reusable scratch for comparing two arbitrary snapshots.
+// The zero value is ready to use; buffers grow on first use and are
+// reused after that, so steady-state calls are allocation-free. A
+// Workspace must not be shared between goroutines.
+type Workspace struct {
+	a, b Profile
+}
+
+// Similarity is the allocation-free form of the package-level Similarity:
+// it takes each snapshot's profile once and correlates the two.
+//
+//mobilint:hotpath
+func (w *Workspace) Similarity(a, b *Matrix) float64 {
+	if a == nil || b == nil || !a.SameShape(b) {
+		return 0
+	}
+	w.a.Set(a)
+	w.b.Set(b)
+	return w.a.Similarity(&w.b)
 }
 
 // TemporalCorrelation returns the magnitude of the normalized complex inner

@@ -1,6 +1,8 @@
 // Package fastmath evaluates the math package's Sincos, Log and Exp over
 // slices, four elements at a time in AVX2 lanes on amd64, with outputs
-// bit-identical to the library's.
+// bit-identical to the library's; and the Box-Muller transform built from
+// Log and Sincos, four pairs at a time, bit-identical to the scalar
+// formula stats.RNG.NormFloat64 evaluates.
 //
 // Each lane kernel (lanes_amd64.s) is an operation-for-operation
 // transcription of the code math runs on amd64: the portable Sincos
@@ -15,16 +17,24 @@
 // instead of one, and no octant-dependent branches to mispredict on
 // random angles.
 //
+// The Box-Muller kernel chains the Log and Sincos sequences: per pair it
+// takes -2 times the Log lane (an exact product), VSQRTPD's correctly
+// rounded square root (the SQRTSD math.Sqrt compiles to), the Sincos
+// lanes and two products, so each pair gets the scalar formula's
+// operations in its order.
+//
 // A block of four runs in lanes only when every lane lies in the kernel's
 // plain domain, where the library takes none of its special-case exits:
 //
 //   - Sincos: |x| < 2^29, below the library's Payne-Hanek threshold;
 //   - Log: x positive, normal and finite;
 //   - Exp: |x| <= 700, so the result needs no overflow, underflow or
-//     denormal scaling.
+//     denormal scaling;
+//   - Box-Muller: every u in Log's domain and every angle in Sincos's.
 //
 // Any other block, and the tail of fewer than four, goes to math.Sincos,
-// math.Log or math.Exp, so every entry point is total.
+// math.Log, math.Exp or the scalar Box-Muller formula, so every entry
+// point is total.
 //
 // Bit-identity is checked, not assumed. Each kernel has one gate, set at
 // init: the CPU and OS must support AVX2, FMA and YMM state, and then the
@@ -41,10 +51,12 @@ import "math"
 // they reproduce math.Sincos bit for bit over the probe sweep.
 var SincosExact = hasLanes && probeSincos()
 
-// logExact and expExact gate the Log and Exp lanes likewise.
+// logExact, expExact and boxMullerExact gate the Log, Exp and Box-Muller
+// lanes likewise.
 var (
-	logExact = hasLanes && probeUnary(logSlice, math.Log)
-	expExact = hasLanes && probeUnary(expSlice, math.Exp)
+	logExact       = hasLanes && probeUnary(logSlice, math.Log)
+	expExact       = hasLanes && probeUnary(expSlice, math.Exp)
+	boxMullerExact = hasLanes && probeBoxMuller()
 )
 
 // SincosSlice sets sin[i], cos[i] = math.Sincos(x[i]) for every i. sin or
@@ -58,6 +70,20 @@ func LogSlice(x, out []float64) { logSlice(x, out, logExact) }
 // ExpSlice sets out[i] = math.Exp(x[i]) for every i. out may be x; it
 // panics if out is shorter than x.
 func ExpSlice(x, out []float64) { expSlice(x, out, expExact) }
+
+// BoxMullerSlice transforms x in place, pair by pair: with u = x[2k] and
+// a = x[2k+1] it sets x[2k], x[2k+1] = BoxMuller(u, a). These are the two
+// variates NormFloat64 returns for the uniforms u and a/(2*Pi), in its
+// order. It panics if len(x) is odd.
+func BoxMullerSlice(x []float64) { boxMullerSlice(x, boxMullerExact) }
+
+// BoxMuller returns m*c and m*s, where m = math.Sqrt(-2*math.Log(u)) and
+// s, c = math.Sincos(a): the scalar formula BoxMullerSlice reproduces.
+func BoxMuller(u, a float64) (float64, float64) {
+	m := math.Sqrt(-2 * math.Log(u))
+	s, c := math.Sincos(a)
+	return m * c, m * s
+}
 
 // sincosSlice is SincosSlice with the lanes on or off. Each pass of the
 // loop runs the kernel to the end of x or to the first block it declines,
@@ -109,6 +135,26 @@ func expSlice(x, out []float64, lanes bool) {
 	}
 	for ; i < len(x); i++ {
 		out[i] = math.Exp(x[i])
+	}
+}
+
+// boxMullerSlice is BoxMullerSlice with the lanes on or off (see
+// sincosSlice); a block is four pairs.
+func boxMullerSlice(x []float64, lanes bool) {
+	if len(x)%2 != 0 {
+		panic("fastmath: BoxMullerSlice of an odd length")
+	}
+	i := 0
+	for lanes && len(x)-i >= 8 {
+		i += boxMuller4(&x[i], len(x)-i)
+		if len(x)-i >= 8 {
+			for end := i + 8; i < end; i += 2 {
+				x[i], x[i+1] = BoxMuller(x[i], x[i+1])
+			}
+		}
+	}
+	for ; i < len(x); i += 2 {
+		x[i], x[i+1] = BoxMuller(x[i], x[i+1])
 	}
 }
 
@@ -186,6 +232,35 @@ func probeUnary(slice func(x, out []float64, lanes bool), lib func(float64) floa
 	slice(x, out, true)
 	for i, v := range x {
 		if !same(out[i], lib(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// boxMullerProbes returns the Box-Muller probe pairs, interleaved (u, a):
+// the k-th pair takes the magnitude of the k-th Log probe and the k-th
+// Sincos probe, each sweep repeating until the longer one ends. Specials,
+// zeros and denormals decline their blocks; every other block runs in
+// lanes.
+func boxMullerProbes() []float64 {
+	us, as := logExpProbes(), sincosProbes()
+	x := make([]float64, 0, 2*max(len(us), len(as)))
+	for k := 0; k < max(len(us), len(as)); k++ {
+		x = append(x, math.Abs(us[k%len(us)]), as[k%len(as)])
+	}
+	return x
+}
+
+// probeBoxMuller runs the Box-Muller lanes over the probe pairs and
+// reports whether every output matches the scalar formula.
+func probeBoxMuller() bool {
+	x := boxMullerProbes()
+	out := append([]float64(nil), x...)
+	boxMullerSlice(out, true)
+	for k := 0; k < len(x); k += 2 {
+		c, s := BoxMuller(x[k], x[k+1])
+		if !same(out[k], c) || !same(out[k+1], s) {
 			return false
 		}
 	}

@@ -44,6 +44,21 @@ func checkUnary(t *testing.T, name string, slice func(x, out []float64), lib fun
 	}
 }
 
+// checkBoxMuller fails t unless boxMullerSlice, with the lanes on or
+// off, reproduces BoxMuller's scalar formula on every pair of x.
+func checkBoxMuller(t *testing.T, x []float64, lanes bool) {
+	t.Helper()
+	out := append([]float64(nil), x...)
+	boxMullerSlice(out, lanes)
+	for k := 0; k < len(x); k += 2 {
+		c, s := BoxMuller(x[k], x[k+1])
+		if !same(out[k], c) || !same(out[k+1], s) {
+			t.Fatalf("boxMullerSlice (lanes %v) pair %d (%g, %g) = (%x, %x), formula (%x, %x)", lanes, k/2, x[k], x[k+1],
+				math.Float64bits(out[k]), math.Float64bits(out[k+1]), math.Float64bits(c), math.Float64bits(s))
+		}
+	}
+}
+
 // sweepLen keeps the dense sweeps short under -short.
 func sweepLen() int {
 	if testing.Short() {
@@ -60,8 +75,9 @@ func TestLanesRun(t *testing.T) {
 	if !hasLanes {
 		t.Skip("no AVX2/FMA: the library computes every element")
 	}
-	if !SincosExact || !logExact || !expExact {
-		t.Fatalf("gates SincosExact=%v logExact=%v expExact=%v, want all on with AVX2 and FMA", SincosExact, logExact, expExact)
+	if !SincosExact || !logExact || !expExact || !boxMullerExact {
+		t.Fatalf("gates SincosExact=%v logExact=%v expExact=%v boxMullerExact=%v, want all on with AVX2 and FMA",
+			SincosExact, logExact, expExact, boxMullerExact)
 	}
 	for _, tc := range []struct {
 		name   string
@@ -93,6 +109,61 @@ func TestLanesRun(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// boxMuller4's block is four (u, a) pairs, and either half of a pair
+	// can decline it.
+	ok := [8]float64{0.5, 0.1, 1e-300, 6.2, 1, -3, math.MaxFloat64, 1e5}
+	x := ok
+	if got := boxMuller4(&x[0], 8); got != 8 {
+		t.Errorf("boxMuller4 declined the in-domain block %v", ok)
+	}
+	x = ok
+	if got := boxMuller4(&x[0], 7); got != 0 {
+		t.Errorf("boxMuller4 ran a block of four pairs with n = 7 (wrote %d)", got)
+	}
+	for _, bad := range []struct {
+		half int
+		v    []float64
+	}{
+		{0, []float64{0, -0.5, 5e-324, math.Inf(1), math.NaN()}},
+		{1, []float64{1 << 29, math.Inf(-1), math.NaN()}},
+	} {
+		for _, v := range bad.v {
+			for pair := 0; pair < 4; pair++ {
+				y := ok
+				y[2*pair+bad.half] = v
+				if got := boxMuller4(&y[0], 8); got != 0 {
+					t.Errorf("boxMuller4 accepted %g at [%d]", v, 2*pair+bad.half)
+				}
+			}
+		}
+	}
+}
+
+// TestBoxMullerSliceMatchesFormula checks the Box-Muller lanes against
+// the scalar formula over the probe pairs and a dense sweep of the
+// RNG's inputs: uniforms in (0, 1), angles 2*Pi*v, and the smallest
+// uniform 2^-53. Both runs go through the lanes and the library, so a
+// kernel that declined everything would still pass here; TestLanesRun
+// pins that it runs.
+func TestBoxMullerSliceMatchesFormula(t *testing.T) {
+	probes := boxMullerProbes()
+	checkBoxMuller(t, probes, true)
+	checkBoxMuller(t, probes, false)
+	checkBoxMuller(t, []float64{0x1p-53, 0, 1 - 0x1p-53, 2 * math.Pi * (1 - 0x1p-53), 0.5, math.Pi, 1, 2 * math.Pi}, true)
+	next := splitmix(13)
+	x := make([]float64, 0, 1000)
+	for n := sweepLen(); n > 0; n -= len(x) {
+		x = x[:0]
+		for len(x)+2 <= cap(x) {
+			u := next()
+			for u == 0 {
+				u = next()
+			}
+			x = append(x, u, 2*math.Pi*next())
+		}
+		checkBoxMuller(t, x, true)
 	}
 }
 
@@ -217,6 +288,21 @@ func TestSliceBlocksAndTails(t *testing.T) {
 			}
 		}
 	}
+	// Box-Muller blocks are four pairs: n pairs with one bad u or one bad
+	// angle at every position, lanes on and off.
+	for n := 0; n <= 13; n++ {
+		for bad := -1; bad < 2*n; bad++ {
+			x := make([]float64, 2*n)
+			for k := 0; k < n; k++ {
+				x[2*k], x[2*k+1] = (0.5+float64(k))/14, 0.3+float64(k)
+			}
+			if bad >= 0 {
+				x[bad] = math.Inf(1)
+			}
+			checkBoxMuller(t, x, true)
+			checkBoxMuller(t, x, false)
+		}
+	}
 }
 
 // fuzzSeeds are the edges of every lane domain: octant boundaries, the
@@ -261,6 +347,17 @@ func FuzzExpSlice(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, a, b, c, d, e, g float64) {
 		checkUnary(t, "ExpSlice", ExpSlice, math.Exp, []float64{a, b, c, d, e, g})
+	})
+}
+
+// FuzzBoxMullerSlice checks four pairs, one block of lanes, plus a tail
+// pair against the scalar Box-Muller formula bit for bit.
+func FuzzBoxMullerSlice(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s[0], s[1], s[2], s[3], s[4], s[5])
+	}
+	f.Fuzz(func(t *testing.T, a, b, c, d, e, g float64) {
+		checkBoxMuller(t, []float64{a, b, c, d, e, g, math.Abs(a), g, 0.5, b}, true)
 	})
 }
 
@@ -347,4 +444,40 @@ func BenchmarkExpLoop(b *testing.B) {
 		}
 	}
 	benchSink = out[0]
+}
+
+// boxMullerInputs returns 156 (u, a) pairs as the RNG draws them: the
+// pair count of the larger NormFill call in one CSI measurement.
+func boxMullerInputs() []float64 {
+	next := splitmix(5)
+	x := make([]float64, 312)
+	for k := 0; k < len(x); k += 2 {
+		x[k], x[k+1] = next()+0x1p-53, 2*math.Pi*next()
+	}
+	return x
+}
+
+func BenchmarkBoxMullerSlice(b *testing.B) {
+	in := boxMullerInputs()
+	x := make([]float64, len(in))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, in)
+		BoxMullerSlice(x)
+	}
+	benchSink = x[0]
+}
+
+func BenchmarkBoxMullerLoop(b *testing.B) {
+	in := boxMullerInputs()
+	x := make([]float64, len(in))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < len(in); k += 2 {
+			x[k], x[k+1] = BoxMuller(in[k], in[k+1])
+		}
+	}
+	benchSink = x[0]
 }

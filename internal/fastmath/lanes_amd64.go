@@ -12,11 +12,13 @@ var hasLanes = HasAVX2 && hasFMA
 // the module's one CPUID routine.
 func cpuFeatures() (avx2, fma bool)
 
-// sincos4, log4 and exp4 are the lane kernels (lanes_amd64.s). Each runs
-// blocks of four from the start of x while at least four of n elements
-// remain and every lane of the block is in its domain, and returns how
-// many elements it wrote. Callers must pass n <= len of every slice the
-// pointers head, and reach them only through the slice entry points.
+// sincos4, log4, exp4 and boxMuller4 are the lane kernels
+// (lanes_amd64.s). Each runs blocks from the start of x while a whole
+// block of n elements remains and every lane of the block is in its
+// domain, and returns how many elements it wrote. A block is four
+// elements, or four (u, a) pairs for boxMuller4, which writes in place.
+// Callers must pass n <= len of every slice the pointers head, and reach
+// them only through the slice entry points.
 //
 //go:noescape
 //mobilint:hotpath
@@ -29,3 +31,7 @@ func log4(x, out *float64, n int) int
 //go:noescape
 //mobilint:hotpath
 func exp4(x, out *float64, n int) int
+
+//go:noescape
+//mobilint:hotpath
+func boxMuller4(x *float64, n int) int

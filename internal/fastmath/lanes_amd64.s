@@ -1,15 +1,17 @@
 #include "textflag.h"
 
 // Four-lane AVX2 transcriptions of the math package's Sincos, archLog and
-// archExp (fastmath.go gives the argument for each). Every YMM operation
+// archExp, and of Box-Muller's Sqrt(-2*Log(u)) times Sincos(a) built from
+// the first two (fastmath.go gives the argument for each). Every YMM operation
 // applies one scalar IEEE operation to each 64-bit lane, in the library's
 // order and with the library's constants, so a lane computes exactly what
 // the scalar code computes for that lane's input. Lanes never interact.
 //
-// Each kernel walks x in blocks of four from index 0 while at least four
-// elements remain, and stops at the first block with a lane outside the
+// Each kernel walks x in blocks of four lanes from index 0 while a whole
+// block remains, and stops at the first block with a lane outside the
 // kernel's plain domain, returning how many elements it wrote (a multiple
-// of four). The Go wrappers hand that block and the tail to the library.
+// of the block). The Go wrappers hand that block and the tail to the
+// library.
 
 // lanes<> holds each constant replicated four times (32 bytes), so it can
 // be a memory operand of a YMM instruction. The values are the bit
@@ -128,12 +130,15 @@ K4(1472, 0x3f56c16c16c16c17) // 1.3888888888888888889e-3
 K4(1504, 0x3f2a01a01a01a01a) // 1.9841269841269841270e-4
 K4(1536, 0x3efa01a01a01a01a) // 2.4801587301587301587e-5
 K4(1568, 0x00000000000003ff) // exponent bias
-GLOBL lanes<>(SB), RODATA, $1600
 
-// func sincos4(x, sin, cos *float64, n int) int
-//
-// Domain: |x| < 2^29, where math.Sincos takes the Cody-Waite reduction
-// (NaN fails the compare). Per lane, the library's steps:
+// Box-Muller.
+#define MINUS2   lanes<>+1600(SB)
+K4(1600, 0xc000000000000000) // -2.0
+GLOBL lanes<>(SB), RODATA, $1632
+
+// SINCOSCORE is math.Sincos on four lanes: Y0 = x and Y1 = |x|, both in
+// the plain domain |x| < 2^29, where math.Sincos takes the Cody-Waite
+// reduction. Per lane, the library's steps:
 //
 //	j = uint64(|x| * (4/Pi)); y = float64(j); if j odd { j++; y++ }
 //	z = ((|x| - y*PI4A) - y*PI4B) - y*PI4C
@@ -148,9 +153,133 @@ GLOBL lanes<>(SB), RODATA, $1600
 // rounding it. float64(j)+1 is exact for j < 2^31, so adding j&1 before
 // the conversion gives the library's y++.
 //
-// Register plan: Y15 |x| mask, Y14 1.0, Y13 sign mask; Y0 x, Y1 |x|,
-// Y3 j (int32 lanes in X3), Y4 y, Y5 z, Y6 zz, Y7/Y8 polynomials,
-// Y9 cos, Y10 j as int64, Y11/Y12 sign masks.
+// Result: Y2 sin, Y3 cos. Reads Y14 (1.0) and Y13 (sign mask); clobbers
+// Y4-Y12: X3 j as int32 lanes, Y4 y, Y5 z, Y6 zz, Y7/Y8 polynomials,
+// Y9 cos, Y10 j as int64, Y11/Y12 sign masks. In order: j truncated,
+// j += j&1, y; z and zz; the cos polynomial, zz*zz times it, then
+// (1.0 - 0.5*zz) plus that, the cos; the sin polynomial, then
+// z + (z*zz)*poly, the sin; then the ladder: Y11 bit 63 is j's bit 2,
+// Y12 bit 63 is j's bit 1 (the swap), the two blends, the cos sign
+// bit 2 ^ bit 1 and the sin sign bit 2 ^ sign(x).
+#define SINCOSCORE \
+	VMULPD      FOUROPI, Y1, Y2;     \
+	VCVTTPD2DQY Y2, X3;              \
+	VPAND       ONES32, X3, X4;      \
+	VPADDD      X4, X3, X3;          \
+	VCVTDQ2PD   X3, Y4;              \
+	VMULPD      PI4A, Y4, Y5;        \
+	VSUBPD      Y5, Y1, Y5;          \
+	VMULPD      PI4B, Y4, Y6;        \
+	VSUBPD      Y6, Y5, Y5;          \
+	VMULPD      PI4C, Y4, Y6;        \
+	VSUBPD      Y6, Y5, Y5;          \
+	VMULPD      Y5, Y5, Y6;          \
+	VMULPD      COS0, Y6, Y7;        \
+	VADDPD      COS1, Y7, Y7;        \
+	VMULPD      Y6, Y7, Y7;          \
+	VADDPD      COS2, Y7, Y7;        \
+	VMULPD      Y6, Y7, Y7;          \
+	VADDPD      COS3, Y7, Y7;        \
+	VMULPD      Y6, Y7, Y7;          \
+	VADDPD      COS4, Y7, Y7;        \
+	VMULPD      Y6, Y7, Y7;          \
+	VADDPD      COS5, Y7, Y7;        \
+	VMULPD      Y6, Y6, Y8;          \
+	VMULPD      Y7, Y8, Y8;          \
+	VMULPD      HALF, Y6, Y9;        \
+	VSUBPD      Y9, Y14, Y9;         \
+	VADDPD      Y8, Y9, Y9;          \
+	VMULPD      SIN0, Y6, Y7;        \
+	VADDPD      SIN1, Y7, Y7;        \
+	VMULPD      Y6, Y7, Y7;          \
+	VADDPD      SIN2, Y7, Y7;        \
+	VMULPD      Y6, Y7, Y7;          \
+	VADDPD      SIN3, Y7, Y7;        \
+	VMULPD      Y6, Y7, Y7;          \
+	VADDPD      SIN4, Y7, Y7;        \
+	VMULPD      Y6, Y7, Y7;          \
+	VADDPD      SIN5, Y7, Y7;        \
+	VMULPD      Y6, Y5, Y8;          \
+	VMULPD      Y7, Y8, Y8;          \
+	VADDPD      Y8, Y5, Y8;          \
+	VPMOVSXDQ   X3, Y10;             \
+	VPSLLQ      $61, Y10, Y11;       \
+	VPSLLQ      $62, Y10, Y12;       \
+	VBLENDVPD   Y12, Y9, Y8, Y2;     \
+	VBLENDVPD   Y12, Y8, Y9, Y3;     \
+	VPXOR       Y11, Y12, Y12;       \
+	VPXOR       Y0, Y11, Y11;        \
+	VPAND       Y13, Y11, Y11;       \
+	VPAND       Y13, Y12, Y12;       \
+	VXORPD      Y11, Y2, Y2;         \
+	VXORPD      Y12, Y3, Y3
+
+// LOGCORE is archLog on four lanes: Y0 = x, positive, normal and finite,
+// where archLog takes neither a special-case exit nor its denormal-blind
+// Frexp. Per lane, archLog's steps: f1 = the mantissa with exponent 0.5,
+// k = the unbiased exponent; the CMPSD-NLT mask subtracts 1 or 0 from k
+// and multiplies f1 by 2 or 1; then the same polynomial and
+// reconstruction. k is built as (2^52 + e) - (2^52 + 0x3FE) from the
+// biased exponent e: both operands and the difference are exact, so it is
+// the value CVTSL2SD produces. "f1 <= Sqrt2/2" is the library's "not
+// Sqrt2/2 < f1" for every non-NaN f1.
+//
+// Result: Y2 log. Clobbers Y1 and Y3-Y6: Y1 f1 then f, Y3 mask then s,
+// Y4 s2 then t1, Y5 s4 then t2, Y6 polynomial then hfsq. In order: f1
+// and k; the adjustment, f = f1 - 1; s = f/(2+f), s2, s4; t1 from
+// L7, L5, L3, L1 and t2 from L6, L4, L2; R = t1 + t2; hfsq = 0.5*f*f;
+// then k*Ln2Hi - ((hfsq - (s*(hfsq+R) + k*Ln2Lo)) - f).
+#define LOGCORE \
+	VANDPD MANTMASK, Y0, Y1;   \
+	VORPD  HALF, Y1, Y1;       \
+	VPSRLQ $52, Y0, Y2;        \
+	VPOR   TWO52, Y2, Y2;      \
+	VSUBPD TWO52B, Y2, Y2;     \
+	VCMPPD $0x12, HSQRT2, Y1, Y3; \
+	VANDPD ONE, Y3, Y3;        \
+	VSUBPD Y3, Y2, Y2;         \
+	VADDPD ONE, Y3, Y3;        \
+	VMULPD Y3, Y1, Y1;         \
+	VSUBPD ONE, Y1, Y1;        \
+	VADDPD TWO, Y1, Y3;        \
+	VDIVPD Y3, Y1, Y3;         \
+	VMULPD Y3, Y3, Y4;         \
+	VMULPD Y4, Y4, Y5;         \
+	VMULPD L7, Y5, Y6;         \
+	VADDPD L5, Y6, Y6;         \
+	VMULPD Y5, Y6, Y6;         \
+	VADDPD L3, Y6, Y6;         \
+	VMULPD Y5, Y6, Y6;         \
+	VADDPD L1, Y6, Y6;         \
+	VMULPD Y6, Y4, Y4;         \
+	VMULPD L6, Y5, Y6;         \
+	VADDPD L4, Y6, Y6;         \
+	VMULPD Y5, Y6, Y6;         \
+	VADDPD L2, Y6, Y6;         \
+	VMULPD Y6, Y5, Y5;         \
+	VADDPD Y5, Y4, Y4;         \
+	VMULPD HALF, Y1, Y6;       \
+	VMULPD Y1, Y6, Y6;         \
+	VADDPD Y6, Y4, Y4;         \
+	VMULPD Y4, Y3, Y3;         \
+	VMULPD LN2LO, Y2, Y4;      \
+	VADDPD Y4, Y3, Y3;         \
+	VSUBPD Y3, Y6, Y6;         \
+	VSUBPD Y1, Y6, Y6;         \
+	VMULPD LN2HI, Y2, Y2;      \
+	VSUBPD Y6, Y2, Y2
+
+// LOGDOMAIN sets Y1 to the lanes of Y0 that are positive, normal and
+// finite (ordered compares, so NaN fails), clobbering Y2.
+#define LOGDOMAIN \
+	VCMPPD $0x1d, MINNORM, Y0, Y1; \
+	VCMPPD $0x12, MAXFLT, Y0, Y2;  \
+	VANDPD Y2, Y1, Y1
+
+// func sincos4(x, sin, cos *float64, n int) int
+//
+// Domain: |x| < 2^29 (NaN fails the compare). Y15 holds the |x| mask,
+// Y14 1.0 and Y13 the sign mask across the loop.
 TEXT ·sincos4(SB), NOSPLIT, $0-40
 	MOVQ x+0(FP), SI
 	MOVQ sin+8(FP), DI
@@ -172,65 +301,11 @@ sincosloop:
 	CMPL      BX, $0xf
 	JNE       sincosdone
 
-	VMULPD      FOUROPI, Y1, Y2
-	VCVTTPD2DQY Y2, X3               // j, truncated
-	VPAND       ONES32, X3, X4
-	VPADDD      X4, X3, X3           // j += j&1
-	VCVTDQ2PD   X3, Y4               // y
-
-	VMULPD PI4A, Y4, Y5
-	VSUBPD Y5, Y1, Y5
-	VMULPD PI4B, Y4, Y6
-	VSUBPD Y6, Y5, Y5
-	VMULPD PI4C, Y4, Y6
-	VSUBPD Y6, Y5, Y5                // z
-	VMULPD Y5, Y5, Y6                // zz
-
-	VMULPD COS0, Y6, Y7
-	VADDPD COS1, Y7, Y7
-	VMULPD Y6, Y7, Y7
-	VADDPD COS2, Y7, Y7
-	VMULPD Y6, Y7, Y7
-	VADDPD COS3, Y7, Y7
-	VMULPD Y6, Y7, Y7
-	VADDPD COS4, Y7, Y7
-	VMULPD Y6, Y7, Y7
-	VADDPD COS5, Y7, Y7
-	VMULPD Y6, Y6, Y8                // zz*zz
-	VMULPD Y7, Y8, Y8
-	VMULPD HALF, Y6, Y9              // 0.5*zz
-	VSUBPD Y9, Y14, Y9               // 1.0 - 0.5*zz
-	VADDPD Y8, Y9, Y9                // cos
-
-	VMULPD SIN0, Y6, Y7
-	VADDPD SIN1, Y7, Y7
-	VMULPD Y6, Y7, Y7
-	VADDPD SIN2, Y7, Y7
-	VMULPD Y6, Y7, Y7
-	VADDPD SIN3, Y7, Y7
-	VMULPD Y6, Y7, Y7
-	VADDPD SIN4, Y7, Y7
-	VMULPD Y6, Y7, Y7
-	VADDPD SIN5, Y7, Y7
-	VMULPD Y6, Y5, Y8                // z*zz
-	VMULPD Y7, Y8, Y8
-	VADDPD Y8, Y5, Y8                // sin
-
-	VPMOVSXDQ X3, Y10
-	VPSLLQ    $61, Y10, Y11          // bit 63: j bit 2
-	VPSLLQ    $62, Y10, Y12          // bit 63: j bit 1, the swap
-	VBLENDVPD Y12, Y9, Y8, Y2        // swap ? cos : sin
-	VBLENDVPD Y12, Y8, Y9, Y3        // swap ? sin : cos
-	VPXOR     Y11, Y12, Y12          // cos sign: bit 2 ^ bit 1
-	VPXOR     Y0, Y11, Y11           // sin sign: bit 2 ^ sign(x)
-	VPAND     Y13, Y11, Y11
-	VPAND     Y13, Y12, Y12
-	VXORPD    Y11, Y2, Y2
-	VXORPD    Y12, Y3, Y3
-	VMOVUPD   Y2, (DI)(AX*8)
-	VMOVUPD   Y3, (DX)(AX*8)
-	ADDQ      $4, AX
-	JMP       sincosloop
+	SINCOSCORE
+	VMOVUPD Y2, (DI)(AX*8)
+	VMOVUPD Y3, (DX)(AX*8)
+	ADDQ    $4, AX
+	JMP     sincosloop
 
 sincosdone:
 	VZEROUPPER
@@ -239,17 +314,7 @@ sincosdone:
 
 // func log4(x, out *float64, n int) int
 //
-// Domain: positive, normal and finite x, where archLog takes neither a
-// special-case exit nor its denormal-blind Frexp. Per lane, archLog's
-// steps: f1 = the mantissa with exponent 0.5, k = the unbiased exponent;
-// the CMPSD-NLT mask subtracts 1 or 0 from k and multiplies f1 by 2 or 1;
-// then the same polynomial and reconstruction. k is built as
-// (2^52 + e) - (2^52 + 0x3FE) from the biased exponent e: both operands
-// and the difference are exact, so it is the value CVTSL2SD produces.
-// "f1 <= Sqrt2/2" is the library's "not Sqrt2/2 < f1" for every non-NaN f1.
-//
-// Register plan: Y0 x, Y1 f1 then f, Y2 k, Y3 mask then s, Y4 s2 then
-// t1, Y5 s4 then t2, Y6 polynomial then hfsq.
+// Domain: positive, normal and finite x.
 TEXT ·log4(SB), NOSPLIT, $0-32
 	MOVQ x+0(FP), SI
 	MOVQ out+8(FP), DI
@@ -261,53 +326,12 @@ logloop:
 	CMPQ BX, CX
 	JGT  logdone
 	VMOVUPD   (SI)(AX*8), Y0
-	VCMPPD    $0x1d, MINNORM, Y0, Y1 // x >= smallest normal, ordered
-	VCMPPD    $0x12, MAXFLT, Y0, Y2  // x <= MaxFloat64, ordered
-	VANDPD    Y2, Y1, Y1
+	LOGDOMAIN
 	VMOVMSKPD Y1, BX
 	CMPL      BX, $0xf
 	JNE       logdone
 
-	VANDPD MANTMASK, Y0, Y1
-	VORPD  HALF, Y1, Y1              // f1
-	VPSRLQ $52, Y0, Y2
-	VPOR   TWO52, Y2, Y2
-	VSUBPD TWO52B, Y2, Y2            // k
-
-	VCMPPD $0x12, HSQRT2, Y1, Y3     // f1 <= Sqrt2/2
-	VANDPD ONE, Y3, Y3
-	VSUBPD Y3, Y2, Y2                // k -= 1 or 0
-	VADDPD ONE, Y3, Y3
-	VMULPD Y3, Y1, Y1                // f1 *= 2 or 1
-	VSUBPD ONE, Y1, Y1               // f = f1 - 1
-
-	VADDPD TWO, Y1, Y3
-	VDIVPD Y3, Y1, Y3                // s = f / (2 + f)
-	VMULPD Y3, Y3, Y4                // s2
-	VMULPD Y4, Y4, Y5                // s4
-	VMULPD L7, Y5, Y6
-	VADDPD L5, Y6, Y6
-	VMULPD Y5, Y6, Y6
-	VADDPD L3, Y6, Y6
-	VMULPD Y5, Y6, Y6
-	VADDPD L1, Y6, Y6
-	VMULPD Y6, Y4, Y4                // t1
-	VMULPD L6, Y5, Y6
-	VADDPD L4, Y6, Y6
-	VMULPD Y5, Y6, Y6
-	VADDPD L2, Y6, Y6
-	VMULPD Y6, Y5, Y5                // t2
-	VADDPD Y5, Y4, Y4                // R
-	VMULPD HALF, Y1, Y6
-	VMULPD Y1, Y6, Y6                // hfsq = 0.5*f*f
-	VADDPD Y6, Y4, Y4                // hfsq + R
-	VMULPD Y4, Y3, Y3                // s*(hfsq+R)
-	VMULPD LN2LO, Y2, Y4
-	VADDPD Y4, Y3, Y3                // s*(hfsq+R) + k*Ln2Lo
-	VSUBPD Y3, Y6, Y6                // hfsq - (...)
-	VSUBPD Y1, Y6, Y6                // (...) - f
-	VMULPD LN2HI, Y2, Y2
-	VSUBPD Y6, Y2, Y2                // k*Ln2Hi - (...)
+	LOGCORE
 	VMOVUPD Y2, (DI)(AX*8)
 	ADDQ    $4, AX
 	JMP     logloop
@@ -315,6 +339,67 @@ logloop:
 logdone:
 	VZEROUPPER
 	MOVQ AX, ret+24(FP)
+	RET
+
+// func boxMuller4(x *float64, n int) int
+//
+// In place over n elements of (u, a) pairs: a block is four pairs, eight
+// elements. Domain: every u positive, normal and finite (LOGDOMAIN) and
+// every |a| < 2^29 (Sincos's). Per pair, NormFloat64's steps:
+//
+//	m = Sqrt(-2 * Log(u)); s, c = Sincos(a); (u, a) = (m*c, m*s)
+//
+// with Log as LOGCORE, the product by -2 exact, VSQRTPD the correctly
+// rounded square root that SQRTSD computes, Sincos as SINCOSCORE and
+// two IEEE products. The unpacks only move values: VUNPCKLPD/VUNPCKHPD
+// of the block's two loads give the lanes (u0, u2, u1, u3) and
+// (a0, a2, a1, a3), and the same unpacks of the products put each pair's
+// (m*c, m*s) back in its own slots. Lanes never interact, so their order
+// changes no bit.
+//
+// Register plan: Y8/Y9 the loads, Y0 u then x, Y10 a, Y11 |a|, Y15 m,
+// Y14 1.0 and Y13 the sign mask for SINCOSCORE, which clobbers Y2-Y12.
+TEXT ·boxMuller4(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), SI
+	MOVQ n+8(FP), CX
+	XORQ AX, AX
+	VMOVUPD ONE, Y14
+	VMOVUPD SIGNMASK, Y13
+
+bmloop:
+	LEAQ 8(AX), BX
+	CMPQ BX, CX
+	JGT  bmdone
+	VMOVUPD   (SI)(AX*8), Y8
+	VMOVUPD   32(SI)(AX*8), Y9
+	VUNPCKLPD Y9, Y8, Y0             // u
+	VUNPCKHPD Y9, Y8, Y10            // a
+	LOGDOMAIN
+	VANDPD    ABSMASK, Y10, Y11      // |a|
+	VCMPPD    $0x11, TRIGMAX, Y11, Y2 // |a| < 2^29, ordered
+	VANDPD    Y2, Y1, Y1
+	VMOVMSKPD Y1, BX
+	CMPL      BX, $0xf
+	JNE       bmdone
+
+	LOGCORE
+	VMULPD  MINUS2, Y2, Y2           // -2 * Log(u)
+	VSQRTPD Y2, Y15                  // m
+	VMOVAPD Y10, Y0
+	VMOVAPD Y11, Y1
+	SINCOSCORE
+	VMULPD    Y15, Y3, Y3            // m*c
+	VMULPD    Y15, Y2, Y2            // m*s
+	VUNPCKLPD Y2, Y3, Y4             // pairs 0 and 1
+	VUNPCKHPD Y2, Y3, Y5             // pairs 2 and 3
+	VMOVUPD   Y4, (SI)(AX*8)
+	VMOVUPD   Y5, 32(SI)(AX*8)
+	ADDQ      $8, AX
+	JMP       bmloop
+
+bmdone:
+	VZEROUPPER
+	MOVQ AX, ret+16(FP)
 	RET
 
 // func exp4(x, out *float64, n int) int

@@ -17,3 +17,5 @@ func sincos4(x, sin, cos *float64, n int) int { panic("fastmath: sincos4 without
 func log4(x, out *float64, n int) int { panic("fastmath: log4 without AVX2") }
 
 func exp4(x, out *float64, n int) int { panic("fastmath: exp4 without AVX2") }
+
+func boxMuller4(x *float64, n int) int { panic("fastmath: boxMuller4 without AVX2") }

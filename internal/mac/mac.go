@@ -81,12 +81,6 @@ func NewLink(ch *channel.Model, rng *stats.RNG) *Link {
 	}
 }
 
-// MaxStreams returns the spatial streams the link supports.
-func (l *Link) MaxStreams() int {
-	cfg := l.Chan.Config()
-	return phy.MaxStreams(cfg.NTx, cfg.NRx)
-}
-
 // Transmit sends one A-MPDU of nMPDU subframes at the given MCS starting
 // at time t and returns the outcome. Subframe k is decoded against the
 // channel estimate taken at frame start; its post-equalization SINR decays

@@ -149,13 +149,6 @@ func TestTransmitDeterminism(t *testing.T) {
 	}
 }
 
-func TestMaxStreams(t *testing.T) {
-	l := newLink(mobility.Static, 9)
-	if l.MaxStreams() != 2 {
-		t.Fatalf("MaxStreams = %d, want 2 (3x2 link)", l.MaxStreams())
-	}
-}
-
 func BenchmarkTransmit(b *testing.B) {
 	l := newLink(mobility.Macro, 42)
 	mcs := phy.ByIndex(12)

@@ -32,30 +32,38 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Split derives an independent child generator from r. The child stream is a
-// deterministic function of r's current state and the supplied label, so two
-// Splits with different labels never collide. Splitting does not advance r.
-func (r *RNG) Split(label uint64) *RNG {
-	// Mix the label in with two rounds of SplitMix64 finalization.
-	x := r.state + 0x9e3779b97f4a7c15*(label+1)
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return &RNG{state: x}
-}
+// golden is the SplitMix64 increment: Uint64 adds it to the state before
+// mixing.
+const golden = 0x9e3779b97f4a7c15
 
-// Uint64 returns the next 64 pseudo-random bits.
-func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+// mix is the SplitMix64 finalizer.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
+// unit maps 64 random bits to a uniform variate in [0, 1).
+func unit(z uint64) float64 {
+	return float64(z>>11) / (1 << 53)
+}
+
+// Split derives an independent child generator from r. The child stream is a
+// deterministic function of r's current state and the supplied label, so two
+// Splits with different labels never collide. Splitting does not advance r.
+func (r *RNG) Split(label uint64) *RNG {
+	return &RNG{state: mix(r.state + golden*(label+1))}
+}
+
+// Uint64 returns the next 64 pseudo-random bits.
+func (r *RNG) Uint64() uint64 {
+	r.state += golden
+	return mix(r.state)
+}
+
 // Float64 returns a uniform variate in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return unit(r.Uint64())
 }
 
 // Intn returns a uniform variate in [0, n). It panics if n <= 0.
@@ -86,64 +94,106 @@ func (r *RNG) NormFloat64() float64 {
 		}
 	}
 	v = r.Float64()
-	mag := math.Sqrt(-2 * math.Log(u))
-	s, c := math.Sincos(2 * math.Pi * v)
-	r.spare = mag * s
+	z, spare := fastmath.BoxMuller(u, 2*math.Pi*v)
+	r.spare = spare
 	r.hasSpare = true
-	return mag * c
+	return z
 }
 
-// normChunk is how many Box-Muller pairs one NormFill pass transforms.
-const normChunk = 128
+// uniformExact gates the uniform lanes: true when the CPU runs them and
+// they reproduce the scalar draws bit for bit from every probe state.
+var uniformExact = hasUniformLanes && probeUniform()
 
 // NormFill fills dst with standard Gaussian variates: the values, in order,
 // that len(dst) NormFloat64 calls would return, leaving r in the state
-// those calls would leave. It draws the uniforms in the same order, with
-// the same u > 0 redraw, and carries the spare in and out, but it takes the
-// logarithms and the sines and cosines of a whole pass at once through
-// fastmath's slice kernels, which return the library's bits.
-func (r *RNG) NormFill(dst []float64) {
+// those calls would leave. It draws each pair's uniforms in the same order,
+// with the same u > 0 redraw, into the pair's own two slots, and carries
+// the spare in and out; fastmath.BoxMullerSlice then transforms the pairs
+// in place with the formula NormFloat64 evaluates, four pairs to a block
+// of lanes. The draws run four pairs to a block of lanes too: without a
+// redraw the k-th uniform is a pure function of the state plus k
+// increments, so a block is drawn from the state alone, and a block that
+// holds a zero u is drawn by the scalar loop instead.
+func (r *RNG) NormFill(dst []float64) { r.normFill(dst, true) }
+
+// normFill is NormFill with the lanes on or off: off, the scalar loop
+// draws every pair and fastmath.BoxMuller, the library formula,
+// transforms it.
+func (r *RNG) normFill(dst []float64, lanes bool) {
 	if len(dst) > 0 && r.hasSpare {
 		r.hasSpare = false
 		dst[0] = r.spare
 		dst = dst[1:]
 	}
-	var cos [normChunk]float64
-	for len(dst) >= 2 {
-		// Pair k's uniform goes to dst[k] and its angle to dst[p+k].
-		p := min(len(dst)/2, normChunk)
-		mag, ang := dst[:p], dst[p:2*p]
-		for k := range mag {
-			u := r.Float64()
-			for u <= 0 {
-				u = r.Float64()
+	n := len(dst) &^ 1
+	if n > 0 {
+		s := r.state
+		for k := 0; k < n; {
+			if lanes && uniformExact {
+				w := uniformPairs4(&dst[k], n-k, s)
+				s += uint64(w) * golden
+				k += w
 			}
-			mag[k] = u
-			ang[k] = 2 * math.Pi * r.Float64()
+			// The block the lanes declined, or the tail.
+			for end := min(k+8, n); k < end; k += 2 {
+				s += golden
+				u := unit(mix(s))
+				for u <= 0 {
+					s += golden
+					u = unit(mix(s))
+				}
+				s += golden
+				dst[k], dst[k+1] = u, 2*math.Pi*unit(mix(s))
+			}
 		}
-		fastmath.LogSlice(mag, mag)
-		fastmath.SincosSlice(ang, ang, cos[:p])
-		for k, l := range mag {
-			m := math.Sqrt(-2 * l)
-			cos[k] *= m
-			ang[k] *= m
-		}
-		// Interleave: pair k's variates go to dst[2k] and dst[2k+1]. In
-		// ascending k those slots lie below dst[p+k+1], so no sine is
-		// overwritten before it moves.
-		for k := range p {
-			s := ang[k]
-			dst[2*k] = cos[k]
-			dst[2*k+1] = s
+		r.state = s
+		if lanes {
+			fastmath.BoxMullerSlice(dst[:n])
+		} else {
+			for k := 0; k < n; k += 2 {
+				dst[k], dst[k+1] = fastmath.BoxMuller(dst[k], dst[k+1])
+			}
 		}
 		// NormFloat64 leaves the last sine in the spare slot after
 		// returning it; so does NormFill, so the whole state matches.
-		r.spare = dst[2*p-1]
-		dst = dst[2*p:]
+		r.spare = dst[n-1]
 	}
-	if len(dst) == 1 {
-		dst[0] = r.NormFloat64()
+	if len(dst) > n {
+		dst[n] = r.NormFloat64()
 	}
+}
+
+// probeUniform reports whether the uniform lanes reproduce the scalar
+// draws: from states at the edges of uint64 arithmetic and a SplitMix
+// stream of states, every block they write must hold the scalar pairs,
+// and they must stop exactly at the first block holding a zero u (the
+// states -(2k+1)*golden put one at pair k).
+func probeUniform() bool {
+	g := uint64(golden)
+	states := []uint64{0, 1, 1 << 63, ^uint64(0), -g, -(5 * g), -(9 * g), -(37 * g)}
+	for seed := uint64(1); len(states) < 72; seed++ {
+		states = append(states, mix(seed*golden))
+	}
+	var got [48]float64
+	for _, s0 := range states {
+		want := len(got)
+		for k := 0; k < len(got)/2; k++ {
+			if unit(mix(s0+uint64(2*k+1)*golden)) == 0 {
+				want = k / 4 * 8
+				break
+			}
+		}
+		if uniformPairs4(&got[0], len(got), s0) != want {
+			return false
+		}
+		for k := 0; k < want/2; k++ {
+			u, a := unit(mix(s0+uint64(2*k+1)*golden)), 2*math.Pi*unit(mix(s0+uint64(2*k+2)*golden))
+			if math.Float64bits(got[2*k]) != math.Float64bits(u) || math.Float64bits(got[2*k+1]) != math.Float64bits(a) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Gaussian returns a Gaussian variate with the given mean and stddev.

@@ -123,12 +123,38 @@ func TestNormFloat64SkipsZeroUniform(t *testing.T) {
 	}
 }
 
+// checkNormFill fails t unless normFill(n), with the lanes on or off,
+// returns the values n NormFloat64 calls on an equal generator return and
+// leaves the generator's whole state (state, spare flag and spare slot)
+// as they leave it.
+func checkNormFill(t *testing.T, fill, ref *RNG, n int, lanes bool) {
+	t.Helper()
+	before := *fill
+	got := make([]float64, n)
+	fill.normFill(got, lanes)
+	for i, g := range got {
+		if want := ref.NormFloat64(); math.Float64bits(g) != math.Float64bits(want) {
+			t.Fatalf("from %+v, lanes %v: NormFill(%d)[%d] = %v, want %v", before, lanes, n, i, g, want)
+		}
+	}
+	if fill.state != ref.state || fill.hasSpare != ref.hasSpare || math.Float64bits(fill.spare) != math.Float64bits(ref.spare) {
+		t.Fatalf("from %+v, lanes %v: NormFill(%d) left %+v, NormFloat64 calls %+v", before, lanes, n, *fill, *ref)
+	}
+}
+
 // TestNormFillMatchesNormFloat64 pins NormFill to repeated NormFloat64
-// calls bit for bit, and the generator state after each fill: random
-// lengths 0-700 (odd ones end on a spare), entry with and without a
-// spare, scalar calls interleaved, and seeds that put a zero uniform at
-// every position of the first pass's first pairs and deep in the stream.
+// calls bit for bit, and the generator state after each fill, with the
+// Box-Muller lanes on and off: random lengths 0-700 (odd ones end on a
+// spare), entry with and without a spare, scalar calls interleaved, and
+// seeds that put a zero uniform at every position of the first pass's
+// first pairs and deep in the stream.
 func TestNormFillMatchesNormFloat64(t *testing.T) {
+	for _, lanes := range []bool{true, false} {
+		testNormFillMatches(t, lanes)
+	}
+}
+
+func testNormFillMatches(t *testing.T, lanes bool) {
 	pick := NewRNG(5)
 	seeds := []uint64{1, 42, 0xdeadbeef, zeroAt(500), zeroAt(501), zeroAt(1001)}
 	for k := uint64(1); k <= 9; k++ {
@@ -149,18 +175,55 @@ func TestNormFillMatchesNormFloat64(t *testing.T) {
 			if step == 0 {
 				n = 2 + pick.Intn(699) // the first fill meets the seeded zero
 			}
-			got := make([]float64, n)
-			fill.NormFill(got)
-			for i, g := range got {
-				if want := ref.NormFloat64(); math.Float64bits(g) != math.Float64bits(want) {
-					t.Fatalf("seed %x step %d: NormFill(%d)[%d] = %v, want %v", seed, step, n, i, g, want)
-				}
-			}
-			if *fill != *ref {
-				t.Fatalf("seed %x step %d: NormFill(%d) left %+v, NormFloat64 calls %+v", seed, step, n, *fill, *ref)
-			}
+			checkNormFill(t, fill, ref, n, lanes)
 		}
 	}
+}
+
+// TestUniformLanesRun pins that the uniform gate is on where the lanes
+// exist, that the kernel takes whole blocks of four pairs and no partial
+// block, and that it stops exactly at a block holding a zero u wherever
+// in the block that u is. A kernel that declined everything would pass
+// every equality test while running none of it.
+func TestUniformLanesRun(t *testing.T) {
+	if !hasUniformLanes {
+		t.Skip("no AVX2: the scalar loop draws every pair")
+	}
+	if !uniformExact {
+		t.Fatal("uniformExact is off on a CPU with AVX2")
+	}
+	var dst [32]float64
+	if got := uniformPairs4(&dst[0], 32, 7); got != 32 {
+		t.Errorf("wrote %d of 32 elements from a state with no zero u", got)
+	}
+	if got := uniformPairs4(&dst[0], 7, 7); got != 0 {
+		t.Errorf("wrote %d elements with n = 7, less than a block", got)
+	}
+	for pair := uint64(0); pair < 16; pair++ {
+		// State zeroAt(2*pair+1) makes pair's u the zero uniform.
+		if got, want := uniformPairs4(&dst[0], 32, zeroAt(2*pair+1)), int(pair/4*8); got != want {
+			t.Errorf("zero u at pair %d: wrote %d elements, want %d", pair, got, want)
+		}
+	}
+}
+
+// FuzzNormFill checks NormFill against NormFloat64 calls from an arbitrary
+// generator state: any seed, a fill of up to 1023 values, and entry with or
+// without a spare (spare's value goes in the spare slot when hasSpare).
+func FuzzNormFill(f *testing.F) {
+	f.Add(uint64(1), uint16(624), false, 0.0)
+	f.Add(zeroAt(1), uint16(9), true, -1.5)
+	f.Add(zeroAt(7), uint16(2), false, 0.0)
+	f.Add(uint64(0xdeadbeef), uint16(1), true, 3.25)
+	f.Add(uint64(3), uint16(1), true, math.NaN())
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, hasSpare bool, spare float64) {
+		r := RNG{state: seed, hasSpare: hasSpare}
+		if hasSpare {
+			r.spare = spare
+		}
+		fill, ref := r, r
+		checkNormFill(t, &fill, &ref, int(n%1024), true)
+	})
 }
 
 func TestGaussianScaling(t *testing.T) {

@@ -464,7 +464,6 @@ func BenchmarkCtlDeltaDecode(b *testing.B) {
 
 // BenchmarkCtlFrameRoundTrip measures the wire path of one 64-entry
 // report batch: WriteMsg into a buffer, then ReadMsg and DecodePayload.
-// It is not in cmd/benchstatus's gated set.
 func BenchmarkCtlFrameRoundTrip(b *testing.B) {
 	reps := ctlBenchReports()
 	enc := ctlproto.BatchEncoder{APID: "ap1", SnapshotEvery: 16}
@@ -531,6 +530,21 @@ func BenchmarkCtlLoadSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if sched := loadgen.GenerateAP(cfg, 7); len(sched) == 0 {
 			b.Fatal("empty schedule")
+		}
+	}
+}
+
+// BenchmarkCtlLoadScheduleRoam generates one AP's schedule at the
+// perfbench ctl-roam size: 1000 clients of 48 reports, bursty telemetry
+// and a trigger every 12th report.
+func BenchmarkCtlLoadScheduleRoam(b *testing.B) {
+	cfg := loadgen.Defaults()
+	cfg.APs, cfg.ClientsPerAP, cfg.ReportsPerClient = 2, 1000, 48
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sched := loadgen.GenerateAP(cfg, 1); len(sched) != 48_000 {
+			b.Fatalf("schedule of %d reports", len(sched))
 		}
 	}
 }

@@ -58,7 +58,7 @@ import (
 // and link pipelines that consume them. Full figure regeneration benches
 // (BenchmarkFigure*) are excluded by default because their runtime would
 // dominate CI; pass -bench '.' to snapshot everything.
-const defaultBench = "^(BenchmarkChannelResponse|BenchmarkChannelMeasure|BenchmarkMeasureStatic|BenchmarkLinkTransmit|BenchmarkCSISimilarity|BenchmarkEffectiveSNR|BenchmarkClassifierPipeline|BenchmarkLinkSimSecond|BenchmarkStaticLinkSecond|BenchmarkEnvLinkSecond|BenchmarkWLANFleet|BenchmarkContendedFleet|BenchmarkScenarioFleet|BenchmarkZFPrecoder|BenchmarkCtlBatchEncode|BenchmarkCtlDeltaDecode|BenchmarkCtlCoordinatorReport|BenchmarkCtlLoadSchedule)$"
+const defaultBench = "^(BenchmarkChannelResponse|BenchmarkChannelMeasure|BenchmarkMeasureStatic|BenchmarkLinkTransmit|BenchmarkCSISimilarity|BenchmarkEffectiveSNR|BenchmarkClassifierPipeline|BenchmarkLinkSimSecond|BenchmarkStaticLinkSecond|BenchmarkEnvLinkSecond|BenchmarkWLANFleet|BenchmarkContendedFleet|BenchmarkScenarioFleet|BenchmarkZFPrecoder|BenchmarkCtlBatchEncode|BenchmarkCtlDeltaDecode|BenchmarkCtlFrameRoundTrip|BenchmarkCtlCoordinatorReport|BenchmarkCtlLoadSchedule|BenchmarkCtlLoadScheduleRoam)$"
 
 // Snapshot is the normalized on-disk form of one benchmark run.
 type Snapshot struct {

@@ -185,7 +185,8 @@ const maxMessage = 1 << 20
 // and splitEnvelope reads it. WriteMsg's output is byte for byte
 // json.Marshal(Envelope{msgType, json.Marshal(payload)}): json.Marshal's
 // output is already compact and HTML-escaped, so re-compacting it as a
-// RawMessage changes nothing.
+// RawMessage changes nothing. The hot payload types skip reflection on
+// both sides (codec.go).
 const (
 	envTypeKey    = `{"type":`
 	envPayloadKey = `,"payload":`
@@ -198,23 +199,15 @@ func WriteMsg(w io.Writer, msgType string, payload any) error {
 	if !utf8.ValidString(msgType) {
 		return fmt.Errorf("ctlproto: message type %q is not valid UTF-8", msgType)
 	}
-	typ, _ := json.Marshal(msgType) // marshaling a string cannot fail
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("ctlproto: marshaling %s: %w", msgType, err)
+	fb := framePool.Get().(*[]byte)
+	b, err := appendFrame((*fb)[:0], msgType, payload)
+	if err == nil {
+		_, err = w.Write(b)
 	}
-	n := len(envTypeKey) + len(typ) + len(envPayloadKey) + len(raw) + 1
-	if n > maxMessage {
-		return fmt.Errorf("ctlproto: message of %d bytes exceeds limit", n)
+	if cap(b) <= maxPooledFrame {
+		*fb = b
+		framePool.Put(fb)
 	}
-	buf := make([]byte, 4, 4+n)
-	binary.BigEndian.PutUint32(buf, uint32(n))
-	buf = append(buf, envTypeKey...)
-	buf = append(buf, typ...)
-	buf = append(buf, envPayloadKey...)
-	buf = append(buf, raw...)
-	buf = append(buf, '}')
-	_, err = w.Write(buf)
 	return err
 }
 
@@ -248,9 +241,11 @@ func ReadMsg(r io.Reader) (Envelope, error) {
 // {"type":"T","payload":P}, with T printable ASCII free of '"' and '\'
 // and P one valid JSON value with no surrounding whitespace. Such a body
 // is an object with exactly those two keys, so json.Unmarshal would
-// return the same Envelope; FuzzReadMsgSplit checks that. Every other
-// body reports false and goes to json.Unmarshal. Payload aliases body,
-// which the caller must not reuse.
+// return the same Envelope; FuzzReadMsgSplit checks that. P is valid
+// when it has the canonical shape of T's payload type, else when
+// json.Valid says so. Every other body reports false and goes to
+// json.Unmarshal. Payload aliases body, which the caller must not
+// reuse.
 func splitEnvelope(body []byte) (Envelope, bool) {
 	rest, ok := bytes.CutPrefix(body, []byte(envTypeKey+`"`))
 	if !ok {
@@ -260,23 +255,38 @@ func splitEnvelope(body []byte) (Envelope, bool) {
 	for end < len(rest) && rest[end] >= 0x20 && rest[end] < 0x7f && rest[end] != '"' && rest[end] != '\\' {
 		end++
 	}
-	typ := rest[:end]
+	typ := wireType(rest[:end])
 	p, ok := bytes.CutPrefix(rest[end:], []byte(`"`+envPayloadKey))
 	if !ok {
 		return Envelope{}, false
 	}
 	p, ok = bytes.CutSuffix(p, []byte("}"))
-	if !ok || len(p) == 0 || isSpace(p[0]) || isSpace(p[len(p)-1]) || !json.Valid(p) {
+	if !ok || len(p) == 0 || isSpace(p[0]) || isSpace(p[len(p)-1]) {
 		return Envelope{}, false
 	}
-	return Envelope{Type: string(typ), Payload: p}, true
+	if !canonicalPayload(typ, p) && !json.Valid(p) {
+		return Envelope{}, false
+	}
+	return Envelope{Type: typ, Payload: p}, true
 }
 
 // isSpace reports JSON insignificant whitespace.
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
-// DecodePayload unmarshals an envelope payload into out.
+// DecodePayload unmarshals an envelope payload into out. The hot types
+// take their canonical scanner first; whatever it declines goes to
+// json.Unmarshal.
 func DecodePayload[T any](env Envelope) (T, error) {
+	var out T
+	if scanPayload(&out, env.Payload) {
+		return out, nil
+	}
+	return unmarshalPayload[T](env)
+}
+
+// unmarshalPayload is DecodePayload's encoding/json path, kept apart so
+// the scanned value does not escape.
+func unmarshalPayload[T any](env Envelope) (T, error) {
 	var out T
 	if err := json.Unmarshal(env.Payload, &out); err != nil {
 		return out, fmt.Errorf("ctlproto: decoding %s payload: %w", env.Type, err)

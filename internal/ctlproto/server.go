@@ -471,10 +471,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.wg.Add(1)
 	go sess.writeLoop(s)
 
-	// Per-session decode state: the batch decoder and a scratch report
-	// reused across entries (shardMsg copies it on enqueue).
-	var dec DeltaDecoder
-	var rep MobilityReport
+	var rs readState
 	for {
 		env, err := ReadMsg(br)
 		if err != nil {
@@ -483,13 +480,23 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		if err := s.handle(sess, &dec, &rep, env); err != nil {
+		if err := s.handle(sess, &rs, env); err != nil {
 			s.logf("ctlproto: %s: %v", sess.id, err)
 		}
 	}
 }
 
-func (s *Server) handle(sess *apSession, dec *DeltaDecoder, rep *MobilityReport, env Envelope) error {
+// readState is a session reader's decode state, reused across frames:
+// the batch decoder, the batch every report-batch frame decodes into,
+// and the report each entry expands into (shardMsg copies it on
+// enqueue).
+type readState struct {
+	dec   DeltaDecoder
+	batch ReportBatch
+	rep   MobilityReport
+}
+
+func (s *Server) handle(sess *apSession, rs *readState, env Envelope) error {
 	s.metrics().observeRx(env.Type)
 	switch env.Type {
 	case TypeMobilityReport:
@@ -499,11 +506,11 @@ func (s *Server) handle(sess *apSession, dec *DeltaDecoder, rep *MobilityReport,
 		}
 		s.route(sess, shardMsg{kind: kindMobility, sess: sess, mob: r})
 	case TypeReportBatch:
-		b, err := DecodePayload[ReportBatch](env)
-		if err != nil {
+		b := &rs.batch
+		if err := decodeBatchInto(env, b); err != nil {
 			return err
 		}
-		if err := CheckBatch(&b); err != nil {
+		if err := CheckBatch(b); err != nil {
 			s.metrics().observeBatchReject()
 			return err
 		}
@@ -513,14 +520,14 @@ func (s *Server) handle(sess *apSession, dec *DeltaDecoder, rep *MobilityReport,
 		}
 		s.metrics().observeBatch(len(b.Entries))
 		for i := range b.Entries {
-			if err := dec.Apply(b.APID, &b.Entries[i], rep); err != nil {
+			if err := rs.dec.Apply(b.APID, &b.Entries[i], &rs.rep); err != nil {
 				// A bad entry invalidates only itself: later entries
 				// (and later batches) still decode against whatever
 				// state their own snapshots establish.
 				s.metrics().observeBatchReject()
 				continue
 			}
-			s.route(sess, shardMsg{kind: kindMobility, sess: sess, mob: *rep})
+			s.route(sess, shardMsg{kind: kindMobility, sess: sess, mob: rs.rep})
 		}
 	case TypeMeasureReport:
 		r, err := DecodePayload[MeasureReport](env)

@@ -2,12 +2,14 @@ package loadgen
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"mobiwlan/internal/core"
 	"mobiwlan/internal/ctlproto"
+	"mobiwlan/internal/stats"
 )
 
 // hashFleetDefaults is the pinned fleet fingerprint of Defaults();
@@ -103,6 +105,81 @@ func TestValidateRejections(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("Defaults invalid: %v", err)
+	}
+}
+
+// stableSortSchedule is the reference GenerateAP must match: every
+// client's stream, in client order, then sort.SliceStable by (time,
+// client).
+func stableSortSchedule(cfg Config, i int) []Report {
+	apRNG := stats.NewRNG(cfg.Seed).Split(uint64(i))
+	var out []Report
+	for j := 0; j < cfg.ClientsPerAP; j++ {
+		crng := apRNG.Split(uint64(j))
+		client := ClientID(i, j)
+		phase := crng.Float64()
+		base := -62 + 6*crng.Float64()
+		for k := 0; k < cfg.ReportsPerClient; k++ {
+			t := cfg.Telemetry.ReportTime(phase, k)
+			trigger := cfg.RoamEvery > 0 && k > 0 && k%cfg.RoamEvery == 0
+			state, rssi := core.StateMacroAway, float64(triggerRSSI)
+			if !trigger {
+				state = []core.State{core.StateStatic, core.StateMicro, core.StateMacroToward}[crng.Intn(3)]
+				rssi = base + crng.Range(-2, 2)
+			}
+			out = append(out, Report{
+				Rep: ctlproto.MobilityReport{
+					APID: APID(i), Client: client, State: state,
+					Time:    ctlproto.UnquantTime(ctlproto.QuantTime(t)),
+					RSSIdBm: ctlproto.UnquantRSSI(ctlproto.QuantRSSI(rssi)),
+				},
+				Trigger: trigger,
+			})
+		}
+	}
+	sort.SliceStable(out, func(a, b int) bool {
+		if out[a].Rep.Time != out[b].Rep.Time {
+			return out[a].Rep.Time < out[b].Rep.Time
+		}
+		return out[a].Rep.Client < out[b].Rep.Client
+	})
+	return out
+}
+
+// TestGenerateAPMatchesStableSort pins the merged schedule to the
+// stable sort report for report, on shapes that stress the tie-breaks:
+// equal µs times within one client (a tiny BurstGap), equal times
+// across clients (a 1 µs period), more than 1000 clients per AP (where
+// ClientID's %03d stops matching numeric order), Burst 1, and a period
+// whose times overflow the µs grid's int64 range.
+func TestGenerateAPMatchesStableSort(t *testing.T) {
+	cases := []struct {
+		name string
+		mod  func(*Config)
+	}{
+		{"defaults", func(*Config) {}},
+		{"tiny burst gap", func(c *Config) { c.Telemetry.BurstGap = 1e-9 }},
+		{"1 µs period", func(c *Config) { c.Telemetry.Period = 1e-6 }},
+		{"1200 clients", func(c *Config) { c.ClientsPerAP, c.ReportsPerClient = 1200, 5 }},
+		{"burst 1", func(c *Config) { c.Telemetry.Burst = 1 }},
+		{"no triggers", func(c *Config) { c.RoamEvery = 0 }},
+		{"period past the grid", func(c *Config) { c.Telemetry.Period = 1e12 }},
+	}
+	for _, tc := range cases {
+		cfg := Defaults()
+		cfg.ClientsPerAP = 40
+		tc.mod(&cfg)
+		for _, ap := range []int{0, 3} {
+			got, want := GenerateAP(cfg, ap), stableSortSchedule(cfg, ap)
+			if len(got) != len(want) {
+				t.Fatalf("%s, AP %d: %d reports, want %d", tc.name, ap, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("%s, AP %d: report %d is %+v, want %+v", tc.name, ap, k, got[k], want[k])
+				}
+			}
+		}
 	}
 }
 

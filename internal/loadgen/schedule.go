@@ -19,7 +19,7 @@ package loadgen
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"mobiwlan/internal/core"
 	"mobiwlan/internal/ctlproto"
@@ -129,58 +129,142 @@ type Report struct {
 	Trigger bool
 }
 
-// GenerateAP builds AP i's full schedule, sorted by (time, client).
-// A pure function of (cfg, i): workers can generate shards of the
-// fleet independently and always agree.
+// GenerateAP builds AP i's full schedule, sorted by (time, client),
+// one client's equal-time reports in report order: the order a stable
+// sort of the clients' concatenated streams gives. A pure function of
+// (cfg, i): workers can generate shards of the fleet independently and
+// always agree.
+//
+// Each client draws from its own RNG split, so its stream can be
+// generated lazily; GenerateAP merges the streams through a heap keyed
+// like the sort. Report times are nondecreasing within a stream
+// (Telemetry.ReportTime, then the µs grid), which makes the merge the
+// sorted order. A stream that decreases (times past the grid's int64
+// range) leaves the merge unsorted, and the stable sort then restores
+// the order exactly: the merge keeps each client's reports in stream
+// order, and only one client's reports can tie.
 func GenerateAP(cfg Config, i int) []Report {
 	apRNG := stats.NewRNG(cfg.Seed).Split(uint64(i))
 	apID := APID(i)
-	out := make([]Report, 0, cfg.ClientsPerAP*cfg.ReportsPerClient)
-	for j := 0; j < cfg.ClientsPerAP; j++ {
-		crng := apRNG.Split(uint64(j))
-		client := ClientID(i, j)
-		phase := crng.Float64()
-		base := -62 + 6*crng.Float64() // resting RSSI in [-62, -56) dBm
-		for k := 0; k < cfg.ReportsPerClient; k++ {
-			t := cfg.Telemetry.ReportTime(phase, k)
-			trigger := cfg.RoamEvery > 0 && k > 0 && k%cfg.RoamEvery == 0
-			var state core.State
-			var rssi float64
-			if trigger {
-				state = core.StateMacroAway
-				rssi = triggerRSSI
-			} else {
-				switch crng.Intn(3) {
-				case 0:
-					state = core.StateStatic
-				case 1:
-					state = core.StateMicro
-				default:
-					state = core.StateMacroToward
-				}
-				rssi = base + crng.Range(-2, 2)
-			}
-			out = append(out, Report{
-				Rep: ctlproto.MobilityReport{
-					APID:   apID,
-					Client: client,
-					State:  state,
-					// Snap to the wire quantization grid so v1 and v2
-					// encodings carry identical values.
-					Time:    ctlproto.UnquantTime(ctlproto.QuantTime(t)),
-					RSSIdBm: ctlproto.UnquantRSSI(ctlproto.QuantRSSI(rssi)),
-				},
-				Trigger: trigger,
-			})
+	streams := make([]clientStream, cfg.ClientsPerAP)
+	heap := make([]*clientStream, 0, len(streams))
+	for j := range streams {
+		st := &streams[j]
+		st.rng = *apRNG.Split(uint64(j))
+		st.apID = apID
+		st.client = ClientID(i, j)
+		st.phase = st.rng.Float64()
+		st.base = -62 + 6*st.rng.Float64() // resting RSSI in [-62, -56) dBm
+		if st.advance(&cfg) {
+			heap = append(heap, st)
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Rep.Time != out[b].Rep.Time {
-			return out[a].Rep.Time < out[b].Rep.Time
+	for k := len(heap)/2 - 1; k >= 0; k-- {
+		siftDown(heap, k)
+	}
+	out := make([]Report, 0, cfg.ClientsPerAP*cfg.ReportsPerClient)
+	for len(heap) > 0 {
+		st := heap[0]
+		out = append(out, st.next)
+		if !st.advance(&cfg) {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
 		}
-		return out[a].Rep.Client < out[b].Rep.Client
-	})
+		siftDown(heap, 0)
+	}
+	byTimeClient := func(a, b Report) int {
+		if before(&a, &b) {
+			return -1
+		}
+		if before(&b, &a) {
+			return 1
+		}
+		return 0
+	}
+	if !slices.IsSortedFunc(out, byTimeClient) {
+		slices.SortStableFunc(out, byTimeClient)
+	}
 	return out
+}
+
+// clientStream generates one client's reports in order.
+type clientStream struct {
+	rng         stats.RNG
+	apID        string
+	client      string
+	phase, base float64
+	// k is the index of the next report to generate; next holds the
+	// report advance generated last.
+	k    int
+	next Report
+}
+
+// advance generates the stream's next report into next, or reports
+// false at the end of the stream.
+func (st *clientStream) advance(cfg *Config) bool {
+	k := st.k
+	if k >= cfg.ReportsPerClient {
+		return false
+	}
+	st.k++
+	t := cfg.Telemetry.ReportTime(st.phase, k)
+	trigger := cfg.RoamEvery > 0 && k > 0 && k%cfg.RoamEvery == 0
+	var state core.State
+	var rssi float64
+	if trigger {
+		state = core.StateMacroAway
+		rssi = triggerRSSI
+	} else {
+		switch st.rng.Intn(3) {
+		case 0:
+			state = core.StateStatic
+		case 1:
+			state = core.StateMicro
+		default:
+			state = core.StateMacroToward
+		}
+		rssi = st.base + st.rng.Range(-2, 2)
+	}
+	st.next = Report{
+		Rep: ctlproto.MobilityReport{
+			APID:   st.apID,
+			Client: st.client,
+			State:  state,
+			// Snap to the wire quantization grid so v1 and v2
+			// encodings carry identical values.
+			Time:    ctlproto.UnquantTime(ctlproto.QuantTime(t)),
+			RSSIdBm: ctlproto.UnquantRSSI(ctlproto.QuantRSSI(rssi)),
+		},
+		Trigger: trigger,
+	}
+	return true
+}
+
+// before orders reports by (time, client), the schedule's sort key.
+func before(a, b *Report) bool {
+	if a.Rep.Time != b.Rep.Time {
+		return a.Rep.Time < b.Rep.Time
+	}
+	return a.Rep.Client < b.Rep.Client
+}
+
+// siftDown restores the min-heap order below h[k], keyed on each
+// stream's next report.
+func siftDown(h []*clientStream, k int) {
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && before(&h[c+1].next, &h[c].next) {
+			c++
+		}
+		if !before(&h[c].next, &h[k].next) {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
 }
 
 // hashString folds s into an FNV-1a 64 hash state.

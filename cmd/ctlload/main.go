@@ -112,12 +112,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var srv *ctlproto.Server
 	target := *addr
 	if target == "" {
-		log := &ctlproto.DecisionLog{}
 		coord := ctlproto.NewCoordinator()
 		coord.MinInterval = cfg.MinInterval
 		coord.MaxFanout = *fanout
 		coord.Met = ctlproto.NewMetrics(reg, nil)
-		coord.Log = log
 		var err error
 		srv, err = ctlproto.NewServerConfig("127.0.0.1:0", coord, ctlproto.Config{
 			Shards:         *shards,

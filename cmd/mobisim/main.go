@@ -32,10 +32,8 @@ import (
 	"mobiwlan/internal/channel"
 	"mobiwlan/internal/core"
 	"mobiwlan/internal/geom"
-	"mobiwlan/internal/mac"
 	"mobiwlan/internal/mobility"
 	"mobiwlan/internal/obs"
-	"mobiwlan/internal/ratecontrol"
 	"mobiwlan/internal/roaming"
 	"mobiwlan/internal/scenario"
 	"mobiwlan/internal/sched"
@@ -171,31 +169,6 @@ func parseArgs(fs *flag.FlagSet, args []string) {
 	_ = fs.Parse(args)
 }
 
-// parseMode maps a CLI mode name to scenario construction inputs.
-func buildScenario(mode string, duration float64, seed uint64) (*mobility.Scenario, error) {
-	cfg := mobility.DefaultSceneConfig()
-	cfg.Duration = duration
-	rng := stats.NewRNG(seed)
-	switch mode {
-	case "static":
-		return mobility.NewScenario(mobility.Static, cfg, rng), nil
-	case "environmental", "env":
-		return mobility.NewScenario(mobility.Environmental, cfg, rng), nil
-	case "micro":
-		return mobility.NewScenario(mobility.Micro, cfg, rng), nil
-	case "macro":
-		return mobility.NewScenario(mobility.Macro, cfg, rng), nil
-	case "toward":
-		return mobility.NewMacroScenario(mobility.HeadingToward, cfg, rng), nil
-	case "away":
-		return mobility.NewMacroScenario(mobility.HeadingAway, cfg, rng), nil
-	case "circle":
-		return mobility.NewCircleScenario(cfg, rng), nil
-	default:
-		return nil, fmt.Errorf("unknown mode %q (static|env|micro|macro|toward|away|circle)", mode)
-	}
-}
-
 //mobilint:stdout subcommand result tables are the byte-identical-stdout experiment output
 func cmdClassify(args []string) {
 	fs := flag.NewFlagSet("classify", flag.ExitOnError)
@@ -205,7 +178,7 @@ func cmdClassify(args []string) {
 	ofl := obs.AddFlags(fs, "mobisim")
 	parseArgs(fs, args)
 
-	scen, err := buildScenario(*mode, *duration, *seed)
+	scen, err := mobility.NamedScenario(*mode, *duration, stats.NewRNG(*seed))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mobisim:", err)
 		os.Exit(2)
@@ -236,7 +209,7 @@ func cmdLink(args []string) {
 	ofl := obs.AddFlags(fs, "mobisim")
 	parseArgs(fs, args)
 
-	scen, err := buildScenario(*mode, *duration, *seed)
+	scen, err := mobility.NamedScenario(*mode, *duration, stats.NewRNG(*seed))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mobisim:", err)
 		os.Exit(2)
@@ -343,7 +316,7 @@ func cmdSUBF(args []string) {
 	ofl := obs.AddFlags(fs, "mobisim")
 	parseArgs(fs, args)
 
-	scen, err := buildScenario(*mode, *duration+6, *seed)
+	scen, err := mobility.NamedScenario(*mode, *duration+6, stats.NewRNG(*seed))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mobisim:", err)
 		os.Exit(2)
@@ -357,7 +330,7 @@ func cmdSUBF(args []string) {
 		sched = beamforming.Adaptive{}
 		stateAt = core.StateAt(core.RunScenario(scen, core.DefaultPipelineConfig(), *seed+4))
 	}
-	suCfg := beamforming.DefaultSUConfig()
+	suCfg := beamforming.DefaultConfig()
 	suCfg.Obs = ofl.Scope()
 	defer ofl.Finish()
 	res := beamforming.RunSU(ch, sched, stateAt, suCfg, *duration)
@@ -405,7 +378,7 @@ func cmdMUMIMO(args []string) {
 		}
 		users[i] = u
 	}
-	muCfg := beamforming.DefaultMUConfig()
+	muCfg := beamforming.DefaultConfig()
 	muCfg.Obs = ofl.Scope()
 	defer ofl.Finish()
 	res := beamforming.RunMU(users, muCfg, *duration)
@@ -423,26 +396,8 @@ func cmdSched(args []string) {
 	seed := fs.Uint64("seed", 1, "RNG seed")
 	parseArgs(fs, args)
 
-	mkClients := func() []sched.Client {
-		mk := func(i int, scen *mobility.Scenario) sched.Client {
-			chCfg := channel.DefaultConfig()
-			chCfg.TxPowerDBm = 2
-			ch := channel.New(chCfg, scen, stats.NewRNG(*seed+uint64(i)*31+5))
-			return sched.Client{
-				Link:    mac.NewLink(ch, stats.NewRNG(*seed+uint64(i)*31+9)),
-				Adapter: ratecontrol.NewAtheros(ratecontrol.DefaultLinkConfig()),
-				StateAt: sim.OracleStateFunc(scen),
-			}
-		}
-		mcfg := mobility.DefaultSceneConfig()
-		mcfg.Duration = *duration
-		away := mobility.NewMacroScenario(mobility.HeadingAway, mcfg, stats.NewRNG(*seed+1))
-		toward := mobility.NewMacroScenario(mobility.HeadingToward, mcfg, stats.NewRNG(*seed+2))
-		static := mobility.NewScenario(mobility.Static, mcfg, stats.NewRNG(*seed+3))
-		return []sched.Client{mk(0, away), mk(1, toward), mk(2, static)}
-	}
 	for _, pol := range []sched.Policy{&sched.RoundRobin{}, sched.AirtimeFair{}, sched.MobilityAware{}} {
-		res := sched.Run(mkClients(), pol, aggregation.Adaptive{}, *duration)
+		res := sched.Run(sim.SchedCell(*seed, *duration), pol, aggregation.Adaptive{}, *duration)
 		fmt.Printf("%-16s total %6.1f Mbps  Jain %.2f  per-client %v\n",
 			pol.Name(), res.TotalMbps, res.JainFairness, fmtSlice(res.PerClientMbps))
 	}

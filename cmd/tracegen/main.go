@@ -35,7 +35,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		mode      = fs.String("mode", "macro", "scenario mode: static|env|micro|macro|toward|away")
+		mode      = fs.String("mode", "macro", "scenario mode: static|env|micro|macro|toward|away|circle")
 		duration  = fs.Float64("duration", 30, "trace length in seconds")
 		interval  = fs.Float64("interval", 0.05, "sampling interval in seconds")
 		seed      = fs.Uint64("seed", 1, "RNG seed")
@@ -64,25 +64,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := mobility.DefaultSceneConfig()
-	cfg.Duration = *duration
 	rng := stats.NewRNG(*seed)
-	var scen *mobility.Scenario
-	switch *mode {
-	case "static":
-		scen = mobility.NewScenario(mobility.Static, cfg, rng)
-	case "env", "environmental":
-		scen = mobility.NewScenario(mobility.Environmental, cfg, rng)
-	case "micro":
-		scen = mobility.NewScenario(mobility.Micro, cfg, rng)
-	case "macro":
-		scen = mobility.NewScenario(mobility.Macro, cfg, rng)
-	case "toward":
-		scen = mobility.NewMacroScenario(mobility.HeadingToward, cfg, rng)
-	case "away":
-		scen = mobility.NewMacroScenario(mobility.HeadingAway, cfg, rng)
-	default:
-		_, _ = fmt.Fprintf(stderr, "tracegen: unknown mode %q\n", *mode)
+	scen, err := mobility.NamedScenario(*mode, *duration, rng)
+	if err != nil {
+		_, _ = fmt.Fprintln(stderr, "tracegen:", err)
 		return 2
 	}
 
@@ -124,6 +109,7 @@ func summary(w io.Writer, path string) error {
 	}
 	var times, rssi, dist, sims []float64
 	var prev *csi.Matrix
+	var ws csi.Workspace
 	for _, r := range recs {
 		times = append(times, r.Time)
 		rssi = append(rssi, r.RSSIdBm)
@@ -133,7 +119,7 @@ func summary(w io.Writer, path string) error {
 			return err
 		}
 		if prev != nil {
-			sims = append(sims, csi.Similarity(prev, m))
+			sims = append(sims, ws.Similarity(prev, m))
 		}
 		prev = m
 	}

@@ -52,7 +52,7 @@ func main() {
 
 	coord := ctlproto.NewCoordinator()
 	coord.Met = met
-	srv, err := ctlproto.NewServer("127.0.0.1:0", coord)
+	srv, err := ctlproto.NewServerConfig("127.0.0.1:0", coord, ctlproto.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

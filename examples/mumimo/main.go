@@ -54,8 +54,8 @@ func main() {
 		return users
 	}
 
-	def := beamforming.RunMU(build(false), beamforming.DefaultMUConfig(), duration)
-	ada := beamforming.RunMU(build(true), beamforming.DefaultMUConfig(), duration)
+	def := beamforming.RunMU(build(false), beamforming.DefaultConfig(), duration)
+	ada := beamforming.RunMU(build(true), beamforming.DefaultConfig(), duration)
 
 	fmt.Printf("3x3 zero-forcing MU-MIMO, %.0f s of simultaneous downlink:\n\n", duration)
 	fmt.Printf("%-22s %14s %18s\n", "client", "fixed 20 ms", "mobility-adaptive")

@@ -43,22 +43,16 @@ var AdaptiveTable = map[core.State]float64{
 	core.StateMacroOrbit:    2e-3,
 }
 
-// Adaptive selects the limit from the client's mobility state.
-type Adaptive struct {
-	// Table maps states to limits; nil uses AdaptiveTable.
-	Table map[core.State]float64
-}
+// Adaptive selects the limit from the client's mobility state through
+// AdaptiveTable.
+type Adaptive struct{}
 
 // Name implements Policy.
-func (a Adaptive) Name() string { return "mobility-adaptive" }
+func (Adaptive) Name() string { return "mobility-adaptive" }
 
 // AggregationTime implements Policy.
-func (a Adaptive) AggregationTime(s core.State) float64 {
-	table := a.Table
-	if table == nil {
-		table = AdaptiveTable
-	}
-	if v, ok := table[s]; ok {
+func (Adaptive) AggregationTime(s core.State) float64 {
+	if v, ok := AdaptiveTable[s]; ok {
 		return v
 	}
 	return 4e-3

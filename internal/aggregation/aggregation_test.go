@@ -37,13 +37,11 @@ func TestAdaptiveTableMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestAdaptiveCustomTableAndFallback(t *testing.T) {
-	a := Adaptive{Table: map[core.State]float64{core.StateStatic: 1e-3}}
-	if a.AggregationTime(core.StateStatic) != 1e-3 {
-		t.Fatal("custom table ignored")
-	}
-	if a.AggregationTime(core.StateMicro) != 4e-3 {
-		t.Fatal("missing state should fall back to 4 ms")
+// TestAdaptiveFallback pins the limit for a state AdaptiveTable does not
+// list: the stock 4 ms.
+func TestAdaptiveFallback(t *testing.T) {
+	if got := (Adaptive{}).AggregationTime(core.State(-1)); got != 4e-3 {
+		t.Fatalf("unlisted state limit = %v, want 4 ms", got)
 	}
 }
 

@@ -67,8 +67,8 @@ func TestBearingTracksOrbitingClient(t *testing.T) {
 	est := NewEstimator(3)
 	// Bearings at 0 and 5 s should differ by roughly the orbital sweep
 	// (1.4 m/s at 8 m radius = 0.175 rad/s), modulo estimator coarseness.
-	th0, _ := est.Estimate(ch.Response(0))
-	th5, _ := est.Estimate(ch.Response(5))
+	th0, _ := est.Estimate(ch.ResponseInto(0, nil))
+	th5, _ := est.Estimate(ch.ResponseInto(5, nil))
 	if math.Abs(th5-th0) < 0.05 {
 		t.Fatalf("orbiting client bearing barely moved: %.3f -> %.3f", th0, th5)
 	}

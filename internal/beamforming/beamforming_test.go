@@ -157,9 +157,9 @@ func TestRunSUStaticPrefersLongPeriod(t *testing.T) {
 	var short, long []float64
 	for seed := uint64(0); seed < 4; seed++ {
 		ch, _ := suChannel(mobility.Static, seed*11+1)
-		s := RunSU(ch, FixedFeedback{T: 5e-3}, constState(core.StateStatic), DefaultSUConfig(), 4)
+		s := RunSU(ch, FixedFeedback{T: 5e-3}, constState(core.StateStatic), DefaultConfig(), 4)
 		ch2, _ := suChannel(mobility.Static, seed*11+1)
-		l := RunSU(ch2, FixedFeedback{T: 200e-3}, constState(core.StateStatic), DefaultSUConfig(), 4)
+		l := RunSU(ch2, FixedFeedback{T: 200e-3}, constState(core.StateStatic), DefaultConfig(), 4)
 		short = append(short, s.Mbps)
 		long = append(long, l.Mbps)
 	}
@@ -174,9 +174,9 @@ func TestRunSUMacroPrefersShortPeriod(t *testing.T) {
 	var short, long []float64
 	for seed := uint64(0); seed < 4; seed++ {
 		ch, _ := suChannel(mobility.Macro, seed*13+2)
-		s := RunSU(ch, FixedFeedback{T: 5e-3}, constState(core.StateMacroAway), DefaultSUConfig(), 4)
+		s := RunSU(ch, FixedFeedback{T: 5e-3}, constState(core.StateMacroAway), DefaultConfig(), 4)
 		ch2, _ := suChannel(mobility.Macro, seed*13+2)
-		l := RunSU(ch2, FixedFeedback{T: 100e-3}, constState(core.StateMacroAway), DefaultSUConfig(), 4)
+		l := RunSU(ch2, FixedFeedback{T: 100e-3}, constState(core.StateMacroAway), DefaultConfig(), 4)
 		short = append(short, s.Mbps)
 		long = append(long, l.Mbps)
 	}
@@ -188,7 +188,7 @@ func TestRunSUMacroPrefersShortPeriod(t *testing.T) {
 
 func TestRunSUAccounting(t *testing.T) {
 	ch, _ := suChannel(mobility.Static, 3)
-	res := RunSU(ch, FixedFeedback{T: 20e-3}, nil, DefaultSUConfig(), 2)
+	res := RunSU(ch, FixedFeedback{T: 20e-3}, nil, DefaultConfig(), 2)
 	if res.Mbps <= 0 {
 		t.Fatal("no throughput")
 	}
@@ -221,7 +221,7 @@ func muUsers(t *testing.T, modes [3]mobility.Mode, period [3]float64, seed uint6
 func TestRunMUFreshFeedbackServesAll(t *testing.T) {
 	users := muUsers(t, [3]mobility.Mode{mobility.Static, mobility.Static, mobility.Static},
 		[3]float64{20e-3, 20e-3, 20e-3}, 4)
-	res := RunMU(users, DefaultMUConfig(), 2)
+	res := RunMU(users, DefaultConfig(), 2)
 	if len(res.PerUserMbps) != 3 {
 		t.Fatalf("per-user results = %v", res.PerUserMbps)
 	}
@@ -241,8 +241,8 @@ func TestRunMUStaleFeedbackHurtsMobileUser(t *testing.T) {
 	// its feedback restores most of it (paper Fig. 12(a): staleness
 	// affects the mobile client, not the static ones).
 	modes := [3]mobility.Mode{mobility.Static, mobility.Static, mobility.Macro}
-	stale := RunMU(muUsers(t, modes, [3]float64{20e-3, 20e-3, 100e-3}, 5), DefaultMUConfig(), 3)
-	fresh := RunMU(muUsers(t, modes, [3]float64{20e-3, 20e-3, 2e-3}, 5), DefaultMUConfig(), 3)
+	stale := RunMU(muUsers(t, modes, [3]float64{20e-3, 20e-3, 100e-3}, 5), DefaultConfig(), 3)
+	fresh := RunMU(muUsers(t, modes, [3]float64{20e-3, 20e-3, 2e-3}, 5), DefaultConfig(), 3)
 	if fresh.PerUserMbps[2] <= stale.PerUserMbps[2] {
 		t.Fatalf("mobile user: fresh feedback %.1f Mbps should beat stale %.1f Mbps",
 			fresh.PerUserMbps[2], stale.PerUserMbps[2])
@@ -250,7 +250,7 @@ func TestRunMUStaleFeedbackHurtsMobileUser(t *testing.T) {
 }
 
 func TestRunMUEmpty(t *testing.T) {
-	res := RunMU(nil, DefaultMUConfig(), 1)
+	res := RunMU(nil, DefaultConfig(), 1)
 	if res.TotalMbps != 0 || len(res.PerUserMbps) != 0 {
 		t.Fatal("empty MU run should be all zeros")
 	}

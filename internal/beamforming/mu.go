@@ -6,8 +6,6 @@ import (
 	"mobiwlan/internal/channel"
 	"mobiwlan/internal/core"
 	"mobiwlan/internal/csi"
-	"mobiwlan/internal/obs"
-	"mobiwlan/internal/phy"
 )
 
 // MUUser is one client served by the MU-MIMO group: its channel (NTx x 1 —
@@ -17,30 +15,6 @@ type MUUser struct {
 	Chan    *channel.Model
 	Sched   FeedbackScheduler
 	StateAt func(t float64) core.State
-}
-
-// MUConfig parameterizes the MU-MIMO emulator.
-type MUConfig struct {
-	// FeedbackBits quantizes each fed-back CSI component.
-	FeedbackBits int
-	// Grouping is the subcarrier grouping factor of the feedback report.
-	Grouping int
-	// FrameTime is the spacing of (simultaneous) data frames.
-	FrameTime float64
-	// MPDUBytes sizes the loss model packets.
-	MPDUBytes int
-	// RateMarginDB backs rate selection off the measured SINR.
-	RateMarginDB float64
-	// Obs, when non-nil, collects sounding telemetry; Trial keys the
-	// per-trial tracer (distinct concurrent trials must use distinct
-	// keys).
-	Obs   *obs.Scope
-	Trial int
-}
-
-// DefaultMUConfig returns the paper's §6.2 emulation setup.
-func DefaultMUConfig() MUConfig {
-	return MUConfig{FeedbackBits: 8, Grouping: 4, FrameTime: 2e-3, MPDUBytes: 1500, RateMarginDB: 1}
 }
 
 // MUResult summarizes an emulation run.
@@ -74,9 +48,7 @@ func normalizedRowInto(dst []complex128, m *csi.Matrix, sc int, scale float64) [
 // including the inter-user interference leaked by stale precoding —
 // selects its rate. This mirrors the paper's trace-based MU-MIMO emulator
 // (§6.2).
-func RunMU(users []MUUser, cfg MUConfig, duration float64) MUResult {
-	timing := phy.DefaultTiming()
-	ladder := phy.Usable(1)
+func RunMU(users []MUUser, cfg Config, duration float64) MUResult {
 	n := len(users)
 	res := MUResult{PerUserMbps: make([]float64, n)}
 	if n == 0 {
@@ -87,11 +59,13 @@ func RunMU(users []MUUser, cfg MUConfig, duration float64) MUResult {
 	soundings := cfg.Obs.Registry().Counter("beamforming.mu.soundings")
 	tr := cfg.Obs.Tracer(cfg.Trial)
 
+	// Reused buffers: the link's raw-measurement scratch is shared by
+	// all users' soundings (each user keeps its own quantized estimate
+	// in ests), and one true-channel scratch serves the per-frame SINR
+	// evaluation.
+	l := newLink(cfg)
 	ests := make([]*csi.Matrix, n)
-	// Reused buffers: one raw-measurement scratch shared by all users'
-	// soundings (each user keeps its own quantized estimate in ests), and
-	// one true-channel scratch for the per-frame SINR evaluation.
-	var mBuf, truthBuf *csi.Matrix
+	var truthBuf *csi.Matrix
 	lastFB := make([]float64, n)
 	for i := range lastFB {
 		lastFB[i] = -1e9
@@ -113,10 +87,8 @@ func RunMU(users []MUUser, cfg MUConfig, duration float64) MUResult {
 				state = usr.StateAt(t)
 			}
 			if t-lastFB[u] >= usr.Sched.Period(state) {
-				m := usr.Chan.MeasureInto(t, mBuf)
-				mBuf = m.CSI
-				ests[u] = m.CSI.QuantizeInto(ests[u], cfg.FeedbackBits)
-				fb := phy.FeedbackAirtime(timing, reportBits(ests[u], cfg.FeedbackBits, cfg.Grouping))
+				var fb float64
+				ests[u], fb = l.sound(usr.Chan, t, ests[u])
 				fbTime += fb
 				t += fb
 				lastFB[u] = t
@@ -160,14 +132,7 @@ func RunMU(users []MUUser, cfg MUConfig, duration float64) MUResult {
 			}
 			eff := math.Pow(2, capSum/float64(subc)) - 1
 			sinrDB := 10 * math.Log10(math.Max(eff, 1e-4))
-			best := ladder[0]
-			for _, m := range ladder {
-				if sinrDB-cfg.RateMarginDB >= phy.RequiredSNRdB(m) {
-					best = m
-				}
-			}
-			per := phy.PER(best, sinrDB, cfg.MPDUBytes)
-			bits[u] += best.RateMbps(phy.Width40, true) * 1e6 * cfg.FrameTime * (1 - per)
+			bits[u] += l.frameBits(l.rate(sinrDB), sinrDB)
 		}
 		t += cfg.FrameTime
 	}

@@ -78,19 +78,22 @@ func (a Adaptive) Period(s core.State) float64 {
 	return 20e-3
 }
 
-// SUConfig parameterizes a single-user beamforming run.
-type SUConfig struct {
+// Config parameterizes a beamforming run: single-user (RunSU) or
+// MU-MIMO (RunMU).
+type Config struct {
 	// FeedbackBits is the quantization of each CSI component (8 in
 	// 802.11 compressed feedback).
 	FeedbackBits int
 	// Grouping is the 802.11n subcarrier grouping factor Ng of the
 	// feedback report (every Ng-th subcarrier is reported).
 	Grouping int
-	// FrameTime is the spacing of data transmit opportunities.
+	// FrameTime is the spacing of data transmit opportunities
+	// (simultaneous frames under MU-MIMO).
 	FrameTime float64
 	// MPDUBytes sizes the loss model packets.
 	MPDUBytes int
-	// RateMarginDB backs rate selection off the measured beamformed SNR.
+	// RateMarginDB backs rate selection off the measured beamformed SNR
+	// (the per-user SINR under MU-MIMO).
 	RateMarginDB float64
 	// Obs, when non-nil, collects sounding telemetry; Trial keys the
 	// per-trial tracer (distinct concurrent trials must use distinct
@@ -99,9 +102,54 @@ type SUConfig struct {
 	Trial int
 }
 
-// DefaultSUConfig returns the paper's SU-beamforming setup.
-func DefaultSUConfig() SUConfig {
-	return SUConfig{FeedbackBits: 8, Grouping: 4, FrameTime: 2e-3, MPDUBytes: 1500, RateMarginDB: 1}
+// DefaultConfig returns the paper's beamforming setup, shared by the
+// SU-beamforming runs and the §6.2 MU-MIMO emulation.
+func DefaultConfig() Config {
+	return Config{FeedbackBits: 8, Grouping: 4, FrameTime: 2e-3, MPDUBytes: 1500, RateMarginDB: 1}
+}
+
+// link holds what RunSU and RunMU share: the configuration, the MAC
+// timing, the rate ladder and the raw measurement buffer every sounding
+// reuses.
+type link struct {
+	cfg    Config
+	timing phy.Timing
+	ladder []phy.MCS
+	mBuf   *csi.Matrix
+}
+
+func newLink(cfg Config) *link {
+	// Beamforming sends a single precoded stream per client.
+	return &link{cfg: cfg, timing: phy.DefaultTiming(), ladder: phy.Usable(1)}
+}
+
+// sound runs one sounding exchange at t: the client measures ch and
+// feeds back its estimate, quantized into est. It returns the estimate
+// and the feedback's airtime.
+func (l *link) sound(ch *channel.Model, t float64, est *csi.Matrix) (*csi.Matrix, float64) {
+	m := ch.MeasureInto(t, l.mBuf)
+	l.mBuf = m.CSI
+	est = m.CSI.QuantizeInto(est, l.cfg.FeedbackBits)
+	return est, phy.FeedbackAirtime(l.timing, reportBits(est, l.cfg.FeedbackBits, l.cfg.Grouping))
+}
+
+// rate picks the fastest rung of the ladder whose required SNR snrDB
+// clears by RateMarginDB, or the lowest rung when none does.
+func (l *link) rate(snrDB float64) phy.MCS {
+	best := l.ladder[0]
+	for _, m := range l.ladder {
+		if snrDB-l.cfg.RateMarginDB >= phy.RequiredSNRdB(m) {
+			best = m
+		}
+	}
+	return best
+}
+
+// frameBits is the goodput, in bits, of one data frame sent at rate and
+// received at snrDB.
+func (l *link) frameBits(rate phy.MCS, snrDB float64) float64 {
+	per := phy.PER(rate, snrDB, l.cfg.MPDUBytes)
+	return rate.RateMbps(phy.Width40, true) * 1e6 * l.cfg.FrameTime * (1 - per)
 }
 
 // SUResult summarizes a run.
@@ -119,9 +167,8 @@ type SUResult struct {
 // client's mobility state over time, from the classifier or ground truth),
 // precodes every data frame with the latest quantized feedback, and picks
 // the best rate the measured beamformed SNR supports.
-func RunSU(ch *channel.Model, sched FeedbackScheduler, stateAt func(t float64) core.State, cfg SUConfig, duration float64) SUResult {
-	timing := phy.DefaultTiming()
-	ladder := phy.Usable(1) // beamforming sends a single precoded stream
+func RunSU(ch *channel.Model, sched FeedbackScheduler, stateAt func(t float64) core.State, cfg Config, duration float64) SUResult {
+	l := newLink(cfg)
 	var res SUResult
 	var bits, fbTime float64
 
@@ -129,10 +176,10 @@ func RunSU(ch *channel.Model, sched FeedbackScheduler, stateAt func(t float64) c
 	soundings := cfg.Obs.Registry().Counter("beamforming.su.soundings")
 	tr := cfg.Obs.Tracer(cfg.Trial)
 
-	// Reused buffers: the raw measurement, the quantized feedback estimate,
-	// and the true channel used to score each precoded frame.
-	var mBuf, est, truthBuf *csi.Matrix
-	rate := ladder[0]
+	// Reused buffers: the quantized feedback estimate and the true
+	// channel used to score each precoded frame.
+	var est, truthBuf *csi.Matrix
+	rate := l.ladder[0]
 	lastFB := -1e9
 	t := 0.0
 	for t < duration {
@@ -144,10 +191,8 @@ func RunSU(ch *channel.Model, sched FeedbackScheduler, stateAt func(t float64) c
 		if t-lastFB >= period {
 			// Sounding exchange: the client measures and feeds back
 			// quantized CSI.
-			m := ch.MeasureInto(t, mBuf)
-			mBuf = m.CSI
-			est = m.CSI.QuantizeInto(est, cfg.FeedbackBits)
-			fb := phy.FeedbackAirtime(timing, reportBits(est, cfg.FeedbackBits, cfg.Grouping))
+			var fb float64
+			est, fb = l.sound(ch, t, est)
 			fbTime += fb
 			t += fb
 			lastFB = t
@@ -160,20 +205,12 @@ func RunSU(ch *channel.Model, sched FeedbackScheduler, stateAt func(t float64) c
 			// stale CSI turns into packet loss rather than a graceful
 			// rate downshift).
 			truthBuf = ch.ResponseInto(t, truthBuf)
-			bfSNR := phy.BeamformedSNRdB(truthBuf, est, ch.SNRdB(t))
-			rate = ladder[0]
-			for _, m := range ladder {
-				if bfSNR-cfg.RateMarginDB >= phy.RequiredSNRdB(m) {
-					rate = m
-				}
-			}
+			rate = l.rate(phy.BeamformedSNRdB(truthBuf, est, ch.SNRdB(t)))
 			continue
 		}
 		// Data frame precoded with the (aging) estimate at the held rate.
 		truthBuf = ch.ResponseInto(t, truthBuf)
-		bfSNR := phy.BeamformedSNRdB(truthBuf, est, ch.SNRdB(t))
-		per := phy.PER(rate, bfSNR, cfg.MPDUBytes)
-		bits += rate.RateMbps(phy.Width40, true) * 1e6 * cfg.FrameTime * (1 - per)
+		bits += l.frameBits(rate, phy.BeamformedSNRdB(truthBuf, est, ch.SNRdB(t)))
 		t += cfg.FrameTime
 	}
 	if t > 0 {

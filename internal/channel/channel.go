@@ -344,13 +344,6 @@ func (m *Model) Distance(t float64) float64 {
 	return m.scen.Client.At(t).Dist(m.ap)
 }
 
-// Response computes the true (noise-free) CSI matrix at time t into a
-// freshly allocated matrix. Hot paths should prefer ResponseInto with a
-// reused buffer.
-func (m *Model) Response(t float64) *csi.Matrix {
-	return m.ResponseInto(t, nil)
-}
-
 // ResponseInto computes the true (noise-free) CSI matrix at time t into h
 // and returns h. A nil h is replaced by a freshly allocated matrix; a
 // non-nil h must have the model's dimensions and is overwritten in full.

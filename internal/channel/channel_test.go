@@ -29,8 +29,8 @@ func TestDefaultConfig(t *testing.T) {
 func TestResponseDeterministic(t *testing.T) {
 	m1 := model(mobility.Static, 1)
 	m2 := model(mobility.Static, 1)
-	a := m1.Response(3.3)
-	b := m2.Response(3.3)
+	a := m1.ResponseInto(3.3, nil)
+	b := m2.ResponseInto(3.3, nil)
 	if rho := csi.TemporalCorrelation(a, b); rho < 1-1e-12 {
 		t.Fatalf("same-seed responses differ: rho = %v", rho)
 	}
@@ -38,7 +38,7 @@ func TestResponseDeterministic(t *testing.T) {
 
 func TestResponseShape(t *testing.T) {
 	m := model(mobility.Static, 2)
-	h := m.Response(0)
+	h := m.ResponseInto(0, nil)
 	if h.Subcarriers != 52 || h.NTx != 3 || h.NRx != 2 {
 		t.Fatalf("bad response shape %dx%dx%d", h.Subcarriers, h.NTx, h.NRx)
 	}
@@ -49,8 +49,8 @@ func TestResponseShape(t *testing.T) {
 
 func TestStaticChannelIsConstant(t *testing.T) {
 	m := model(mobility.Static, 3)
-	a := m.Response(0)
-	b := m.Response(10)
+	a := m.ResponseInto(0, nil)
+	b := m.ResponseInto(10, nil)
 	if rho := csi.TemporalCorrelation(a, b); rho < 1-1e-9 {
 		t.Fatalf("static channel changed over time: rho = %v", rho)
 	}
@@ -64,9 +64,9 @@ func TestDeviceMotionDecorrelatesChannel(t *testing.T) {
 	// beyond a wavelength or two it decays to a LoS-dominated floor (the
 	// correlation is not monotone there, just clearly depressed).
 	m := model(mobility.Macro, 4)
-	a := m.Response(0)
-	rhoTiny := csi.TemporalCorrelation(a, m.Response(0.005)) // ~7 mm = 0.14 wavelength
-	rhoFar := csi.TemporalCorrelation(a, m.Response(1))      // ~1.4 m = 27 wavelengths
+	a := m.ResponseInto(0, nil)
+	rhoTiny := csi.TemporalCorrelation(a, m.ResponseInto(0.005, nil)) // ~7 mm = 0.14 wavelength
+	rhoFar := csi.TemporalCorrelation(a, m.ResponseInto(1, nil))      // ~1.4 m = 27 wavelengths
 	if rhoTiny < 0.9 {
 		t.Fatalf("7 mm of motion should barely decorrelate: rho = %v", rhoTiny)
 	}
@@ -102,7 +102,7 @@ func TestMeasureNoiseMatchesGaussianDraws(t *testing.T) {
 		twin := stats.NewRNG(9).Split(0x6e6f6973) // the Model's noise stream
 		for call := 0; call < 5; call++ {
 			tt := float64(call) * 0.01
-			want := m.Response(tt)
+			want := m.ResponseInto(tt, nil)
 			sigma := math.Sqrt(want.AvgPower()) * m.csiNoiseScale / math.Sqrt2
 			data := want.Data()
 			for i := range data {
@@ -175,7 +175,7 @@ func TestNewAtDifferentAPsSeeDifferentChannels(t *testing.T) {
 	if m1.Distance(0) == m2.Distance(0) {
 		t.Skip("degenerate geometry")
 	}
-	if rho := csi.TemporalCorrelation(m1.Response(0), m2.Response(0)); rho > 0.9 {
+	if rho := csi.TemporalCorrelation(m1.ResponseInto(0, nil), m2.ResponseInto(0, nil)); rho > 0.9 {
 		t.Fatalf("channels from different APs nearly identical: rho=%v", rho)
 	}
 }
@@ -187,10 +187,11 @@ func TestNewAtDifferentAPsSeeDifferentChannels(t *testing.T) {
 func similarityStream(m *Model, tau, duration float64) []float64 {
 	var sims []float64
 	var prev *csi.Matrix
+	var ws csi.Workspace
 	for t := 0.0; t < duration; t += tau {
 		cur := m.Measure(t).CSI
 		if prev != nil {
-			sims = append(sims, csi.Similarity(prev, cur))
+			sims = append(sims, ws.Similarity(prev, cur))
 		}
 		prev = cur
 	}
@@ -304,7 +305,7 @@ func BenchmarkResponse(b *testing.B) {
 	m := model(mobility.Macro, 42)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = m.Response(float64(i%1000) * 0.02)
+		_ = m.ResponseInto(float64(i%1000)*0.02, nil)
 	}
 }
 
@@ -329,14 +330,14 @@ func TestZeroValueConfigKeepsLoSPath(t *testing.T) {
 	scen.Scatterers = nil // drop the implicit wall reflectors: LoS only
 
 	zero := Config{Subcarriers: 8, NTx: 2, NRx: 1, CarrierHz: 5.825e9, BandwidthHz: 40e6}
-	h := New(zero, scen, stats.NewRNG(10)).Response(0)
+	h := New(zero, scen, stats.NewRNG(10)).ResponseInto(0, nil)
 	if h.AvgPower() == 0 {
 		t.Fatal("zero-value Config should imply a unit-gain LoS path, got an all-zero response")
 	}
 
 	nlos := zero
 	nlos.PathLossExponent = 3.5
-	if h := New(nlos, scen, stats.NewRNG(10)).Response(0); h.AvgPower() != 0 {
+	if h := New(nlos, scen, stats.NewRNG(10)).ResponseInto(0, nil); h.AvgPower() != 0 {
 		t.Fatalf("explicit pure-NLOS config (no scatterers) should have zero response, got power %v", h.AvgPower())
 	}
 }
@@ -349,7 +350,7 @@ func TestResponseIntoMatchesResponse(t *testing.T) {
 	var buf *csi.Matrix
 	for i := 0; i < 5; i++ {
 		tt := float64(i) * 0.37
-		want := m.Response(tt)
+		want := m.ResponseInto(tt, nil)
 		buf = m.ResponseInto(tt, buf)
 		wd, bd := want.Data(), buf.Data()
 		for k := range wd {

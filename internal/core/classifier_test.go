@@ -130,9 +130,8 @@ func TestClassifierEnvironmentalFromPartialChange(t *testing.T) {
 	// Blend a fixed pattern with a varying one: similarity lands between
 	// the thresholds.
 	c := New(DefaultConfig())
-	base := patternedCSI(1)
 	for i := 0; i < 12; i++ {
-		mix := base.Clone()
+		mix := patternedCSI(1)
 		noise := patternedCSI(uint64(100 + i))
 		for sc := 0; sc < mix.Subcarriers; sc++ {
 			for tx := 0; tx < mix.NTx; tx++ {
@@ -290,7 +289,8 @@ func TestSimilarityWindowMatchesWorkspace(t *testing.T) {
 		if prev != nil {
 			ref.Push(ws.Similarity(prev, m))
 		}
-		prev = m.CloneInto(prev)
+		prev = csi.NewMatrix(m.Subcarriers, m.NTx, m.NRx)
+		copy(prev.Data(), m.Data())
 		c.ObserveCSI(tt, m)
 		want := 0.0
 		if ref.Len() > 0 {
@@ -310,7 +310,7 @@ func TestSimilarityWindowMatchesWorkspace(t *testing.T) {
 			tt += cfg.CSISamplePeriod
 		}
 		if i == 1 {
-			observe(tt, patternedCSI(7).Clone()) // 52x3x2 from another source
+			observe(tt, patternedCSI(7)) // 52x3x2 from another source
 			narrow := csi.NewMatrix(52, 3, 1)
 			for sc := 0; sc < 52; sc++ {
 				narrow.Set(sc, 0, 0, complex(float64(sc), 1))

@@ -14,7 +14,6 @@ import (
 // PipelineConfig wires a classifier to the simulated measurement hardware.
 type PipelineConfig struct {
 	Channel    channel.Config
-	ToF        tof.Config
 	Classifier Config
 
 	// Obs, when non-nil, collects classifier telemetry. Trial keys the
@@ -28,7 +27,6 @@ type PipelineConfig struct {
 func DefaultPipelineConfig() PipelineConfig {
 	return PipelineConfig{
 		Channel:    channel.DefaultConfig(),
-		ToF:        tof.DefaultConfig(),
 		Classifier: DefaultConfig(),
 	}
 }
@@ -61,7 +59,7 @@ func StateAt(decisions []Decision) func(t float64) State {
 func RunScenario(scen *mobility.Scenario, pc PipelineConfig, seed uint64) []Decision {
 	rng := stats.NewRNG(seed)
 	link := channel.New(pc.Channel, scen, rng.Split(1))
-	meter := tof.NewMeter(pc.ToF, rng.Split(2))
+	meter := tof.NewMeter(tof.DefaultConfig(), rng.Split(2))
 	cls := New(pc.Classifier)
 
 	var met *Metrics

@@ -45,9 +45,10 @@ func oneSimClassifier() *Classifier {
 }
 
 func TestCorrPairHitsTargetSimilarity(t *testing.T) {
+	var ws csi.Workspace
 	for _, c := range []float64{0.99, 0.9, 0.71, 0.69, 0.5, 0.1} {
 		a, b := corrPair(c)
-		if got := csi.Similarity(a, b); math.Abs(got-c) > 1e-12 {
+		if got := ws.Similarity(a, b); math.Abs(got-c) > 1e-12 {
 			t.Fatalf("Similarity(corrPair(%v)) = %v", c, got)
 		}
 	}

@@ -48,24 +48,6 @@ func (m *Matrix) SameShape(o *Matrix) bool {
 	return o != nil && m.Subcarriers == o.Subcarriers && m.NTx == o.NTx && m.NRx == o.NRx
 }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	return m.CloneInto(nil)
-}
-
-// CloneInto copies m into dst and returns dst. A nil or shape-mismatched
-// dst is replaced by a freshly allocated matrix, so steady-state callers
-// that pass the previous return value back in never allocate:
-//
-//	buf = src.CloneInto(buf)
-func (m *Matrix) CloneInto(dst *Matrix) *Matrix {
-	if dst == nil || !m.SameShape(dst) {
-		dst = NewMatrix(m.Subcarriers, m.NTx, m.NRx)
-	}
-	copy(dst.data, m.data)
-	return dst
-}
-
 // Data returns the backing storage in index order (sc, tx, rx — rx
 // fastest). It aliases the matrix: writes through it are writes to the
 // matrix. The hot-path kernels use it to avoid per-entry index
@@ -107,17 +89,6 @@ func (m *Matrix) SubcarrierPower(sc int) float64 {
 	return s / float64(n)
 }
 
-// Similarity implements the paper's Eq. (1): the sample correlation of the
-// two snapshots' CSI amplitude profiles, taken over all subcarriers and
-// antenna pairs. It is 1 for identical channels, near 1 for a stable
-// channel observed through noise, and near 0 for decorrelated channels.
-// Mismatched shapes or degenerate (zero-variance) profiles return 0. It
-// allocates its scratch; hot paths use a Workspace or Profiles.
-func Similarity(a, b *Matrix) float64 {
-	var w Workspace
-	return w.Similarity(a, b)
-}
-
 // Profile is one snapshot's amplitude profile: |H| of every entry in
 // storage order and their sum, which is all Eq. (1) reads of a snapshot.
 // A stream of snapshots needs each profile once: consecutive comparisons
@@ -152,11 +123,9 @@ func (p *Profile) Set(m *Matrix) {
 	p.sum = sum
 }
 
-// Similarity returns Eq. (1) for the snapshots whose profiles p and q
-// are: the value Similarity returns for those two matrices, bit for bit,
-// since it reads the same amplitudes and sums in the same order. Profiles
-// of different shapes, empty profiles and degenerate (zero-variance)
-// profiles return 0.
+// Similarity returns Eq. (1) (see Workspace.Similarity) for the
+// snapshots whose profiles p and q are. Profiles of different shapes,
+// empty profiles and degenerate (zero-variance) profiles return 0.
 func (p *Profile) Similarity(q *Profile) float64 {
 	if p.sub != q.sub || p.nTx != q.nTx || p.nRx != q.nRx || len(p.amps) == 0 {
 		return 0
@@ -187,8 +156,12 @@ type Workspace struct {
 	a, b Profile
 }
 
-// Similarity is the allocation-free form of the package-level Similarity:
-// it takes each snapshot's profile once and correlates the two.
+// Similarity implements the paper's Eq. (1): the sample correlation of the
+// two snapshots' CSI amplitude profiles, taken over all subcarriers and
+// antenna pairs. It is 1 for identical channels, near 1 for a stable
+// channel observed through noise, and near 0 for decorrelated channels.
+// Mismatched shapes or degenerate (zero-variance) profiles return 0. It
+// takes each snapshot's profile once and correlates the two.
 //
 //mobilint:hotpath
 func (w *Workspace) Similarity(a, b *Matrix) float64 {
@@ -228,19 +201,15 @@ func TemporalCorrelation(a, b *Matrix) float64 {
 	return rho
 }
 
-// Quantize returns a copy of m with each real and imaginary part quantized
-// to the given number of bits (1..16) relative to the matrix's maximum
-// component magnitude — the representation carried by an 802.11 compressed
-// CSI feedback frame (the standard allows up to 8 bits per component).
-func (m *Matrix) Quantize(bits int) *Matrix {
-	return m.QuantizeInto(nil, bits)
-}
-
-// QuantizeInto is Quantize writing into a caller-owned dst, following the
-// CloneInto reuse contract: a nil or shape-mismatched dst is replaced by a
-// fresh matrix, and the (possibly reallocated) dst is returned. dst must
-// not be m itself — the quantization scale is derived from m while dst is
-// being overwritten.
+// QuantizeInto writes into dst a copy of m with each real and imaginary
+// part quantized to the given number of bits (1..16) relative to the
+// matrix's maximum component magnitude — the representation carried by an
+// 802.11 compressed CSI feedback frame (the standard allows up to 8 bits
+// per component). A nil or shape-mismatched dst is replaced by a fresh
+// matrix, and the (possibly reallocated) dst is returned, so steady-state
+// callers that pass the previous return value back in never allocate.
+// dst must not be m itself — the quantization scale is derived from m
+// while dst is being overwritten.
 func (m *Matrix) QuantizeInto(dst *Matrix, bits int) *Matrix {
 	if bits < 1 {
 		bits = 1
@@ -285,9 +254,8 @@ func (m *Matrix) FeedbackBits(bitsPerComponent int) int {
 
 // ColumnInto writes the NTx-element channel vector from all transmit
 // antennas to receive antenna rx on subcarrier sc — the per-user channel
-// row used by MU-MIMO precoding — into the caller-owned dst, following
-// the CloneInto reuse contract: dst is grown only when its capacity is
-// insufficient, so steady-state callers that pass the previous return
+// row used by MU-MIMO precoding — into the caller-owned dst: dst is
+// grown only when its capacity is insufficient, so steady-state callers that pass the previous return
 // value back in never allocate.
 //
 //mobilint:hotpath

@@ -22,6 +22,19 @@ func randomMatrix(sc, tx, rx int, rng *stats.RNG) *Matrix {
 	return m
 }
 
+// similarity is Eq. (1) through a fresh Workspace.
+func similarity(a, b *Matrix) float64 {
+	var w Workspace
+	return w.Similarity(a, b)
+}
+
+// clone returns a deep copy of m.
+func clone(m *Matrix) *Matrix {
+	c := NewMatrix(m.Subcarriers, m.NTx, m.NRx)
+	copy(c.Data(), m.Data())
+	return c
+}
+
 func TestNewMatrixPanicsOnBadDims(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -66,24 +79,9 @@ func TestIndexingIsBijective(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	m := randomMatrix(8, 2, 2, stats.NewRNG(1))
-	c := m.Clone()
-	if !m.SameShape(c) {
-		t.Fatal("clone shape mismatch")
-	}
-	if Similarity(m, c) < 0.9999 {
-		t.Fatal("clone not identical")
-	}
-	c.Set(0, 0, 0, 99)
-	if m.At(0, 0, 0) == 99 {
-		t.Fatal("clone shares storage with original")
-	}
-}
-
 func TestSimilaritySelfIsOne(t *testing.T) {
 	m := randomMatrix(52, 3, 2, stats.NewRNG(2))
-	if s := Similarity(m, m); math.Abs(s-1) > 1e-12 {
+	if s := similarity(m, m); math.Abs(s-1) > 1e-12 {
 		t.Fatalf("self similarity = %v", s)
 	}
 }
@@ -93,7 +91,7 @@ func TestSimilaritySymmetric(t *testing.T) {
 		rng := stats.NewRNG(seed)
 		a := randomMatrix(16, 2, 2, rng)
 		b := randomMatrix(16, 2, 2, rng)
-		return math.Abs(Similarity(a, b)-Similarity(b, a)) < 1e-12
+		return math.Abs(similarity(a, b)-similarity(b, a)) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -105,7 +103,7 @@ func TestSimilarityRangeProperty(t *testing.T) {
 		rng := stats.NewRNG(seed)
 		a := randomMatrix(16, 2, 2, rng)
 		b := randomMatrix(16, 2, 2, rng)
-		s := Similarity(a, b)
+		s := similarity(a, b)
 		return s >= -1-1e-9 && s <= 1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -121,7 +119,7 @@ func TestSimilarityIndependentNearZero(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a := randomMatrix(52, 3, 2, rng)
 		b := randomMatrix(52, 3, 2, rng)
-		sum += Similarity(a, b)
+		sum += similarity(a, b)
 	}
 	if avg := sum / n; math.Abs(avg) > 0.05 {
 		t.Fatalf("mean similarity of independent channels = %v", avg)
@@ -131,7 +129,7 @@ func TestSimilarityIndependentNearZero(t *testing.T) {
 func TestSimilarityNoisyCopyHigh(t *testing.T) {
 	rng := stats.NewRNG(4)
 	a := randomMatrix(52, 3, 2, rng)
-	b := a.Clone()
+	b := clone(a)
 	// Add 1% amplitude noise.
 	for s := 0; s < b.Subcarriers; s++ {
 		for tx := 0; tx < b.NTx; tx++ {
@@ -141,7 +139,7 @@ func TestSimilarityNoisyCopyHigh(t *testing.T) {
 			}
 		}
 	}
-	if s := Similarity(a, b); s < 0.99 {
+	if s := similarity(a, b); s < 0.99 {
 		t.Fatalf("similarity of noisy copy = %v, want > 0.99", s)
 	}
 }
@@ -149,10 +147,10 @@ func TestSimilarityNoisyCopyHigh(t *testing.T) {
 func TestSimilarityMismatchedShapes(t *testing.T) {
 	a := NewMatrix(4, 2, 2)
 	b := NewMatrix(8, 2, 2)
-	if Similarity(a, b) != 0 {
+	if similarity(a, b) != 0 {
 		t.Fatal("mismatched shapes should give 0")
 	}
-	if Similarity(nil, a) != 0 || Similarity(a, nil) != 0 {
+	if similarity(nil, a) != 0 || similarity(a, nil) != 0 {
 		t.Fatal("nil matrices should give 0")
 	}
 }
@@ -165,7 +163,7 @@ func TestSimilarityConstantProfile(t *testing.T) {
 		b.Set(i, 0, 0, 1)
 	}
 	// Zero variance -> degenerate, defined as 0.
-	if Similarity(a, b) != 0 {
+	if similarity(a, b) != 0 {
 		t.Fatal("constant profiles should return 0 (degenerate)")
 	}
 }
@@ -180,7 +178,7 @@ func TestTemporalCorrelationSelf(t *testing.T) {
 func TestTemporalCorrelationPhaseInvariant(t *testing.T) {
 	// A global phase rotation does not decorrelate the channel.
 	m := randomMatrix(16, 2, 2, stats.NewRNG(6))
-	r := m.Clone()
+	r := clone(m)
 	phase := cmplx.Exp(complex(0, 1.2345))
 	for s := 0; s < r.Subcarriers; s++ {
 		for tx := 0; tx < r.NTx; tx++ {
@@ -240,7 +238,7 @@ func TestSubcarrierPower(t *testing.T) {
 
 func TestQuantizeHighResolutionPreserves(t *testing.T) {
 	m := randomMatrix(16, 2, 2, stats.NewRNG(8))
-	q := m.Quantize(16)
+	q := m.QuantizeInto(nil, 16)
 	if rho := TemporalCorrelation(m, q); rho < 0.99999 {
 		t.Fatalf("16-bit quantization rho = %v", rho)
 	}
@@ -248,8 +246,8 @@ func TestQuantizeHighResolutionPreserves(t *testing.T) {
 
 func TestQuantizeCoarseDegrades(t *testing.T) {
 	m := randomMatrix(52, 3, 2, stats.NewRNG(9))
-	q2 := m.Quantize(2)
-	q8 := m.Quantize(8)
+	q2 := m.QuantizeInto(nil, 2)
+	q8 := m.QuantizeInto(nil, 8)
 	rho2 := TemporalCorrelation(m, q2)
 	rho8 := TemporalCorrelation(m, q8)
 	if rho8 <= rho2 {
@@ -263,13 +261,13 @@ func TestQuantizeCoarseDegrades(t *testing.T) {
 func TestQuantizeClampsBits(t *testing.T) {
 	m := randomMatrix(4, 1, 1, stats.NewRNG(10))
 	// Out-of-range bit widths are clamped, not panics.
-	_ = m.Quantize(0)
-	_ = m.Quantize(99)
+	_ = m.QuantizeInto(nil, 0)
+	_ = m.QuantizeInto(nil, 99)
 }
 
 func TestQuantizeZeroMatrix(t *testing.T) {
 	m := NewMatrix(4, 1, 1)
-	q := m.Quantize(8)
+	q := m.QuantizeInto(nil, 8)
 	if q.AvgPower() != 0 {
 		t.Fatal("quantized zero matrix should stay zero")
 	}

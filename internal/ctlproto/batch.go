@@ -132,16 +132,6 @@ func (e *BatchEncoder) Flush(out *ReportBatch) bool {
 	return true
 }
 
-// Reset drops all per-client history and pending entries (the next
-// entry for every client will be a snapshot). Sequence numbering
-// continues.
-func (e *BatchEncoder) Reset() {
-	for c := range e.clients {
-		delete(e.clients, c)
-	}
-	e.entries = e.entries[:0]
-}
-
 // CheckBatch validates a decoded ReportBatch's frame-level bounds
 // before any entry is applied, per the csi.NewMatrix discipline:
 // adversarial lengths are rejected up front, never sized into buffers.
@@ -235,11 +225,3 @@ func stateFromCode(s int) core.State { return core.State(s - 1) }
 
 // Clients reports the size of the decoder's client table.
 func (d *DeltaDecoder) Clients() int { return len(d.clients) }
-
-// Reset drops all per-client history; subsequent deltas fail with
-// ErrUnknownClient until their client snapshots again.
-func (d *DeltaDecoder) Reset() {
-	for c := range d.clients {
-		delete(d.clients, c)
-	}
-}

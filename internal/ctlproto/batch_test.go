@@ -309,16 +309,6 @@ func TestDeltaDecoderValidation(t *testing.T) {
 	if err := bounded.Apply("ap1", &e, &out); err != nil {
 		t.Fatalf("delta for known client after fill: %v", err)
 	}
-
-	// Reset drops history: deltas need a fresh snapshot.
-	bounded.Reset()
-	if bounded.Clients() != 0 {
-		t.Fatalf("Clients after Reset = %d", bounded.Clients())
-	}
-	e = BatchEntry{Client: "a", T: 1}
-	if err := bounded.Apply("ap1", &e, &out); err != ErrUnknownClient {
-		t.Fatalf("delta after Reset: %v, want ErrUnknownClient", err)
-	}
 }
 
 // TestCheckBatch drives the frame-level bounds.

@@ -56,7 +56,7 @@ func TestRoamFlowTakesFastPaths(t *testing.T) {
 			if enc.Len() >= cfg.BatchSize || r.Trigger {
 				flush()
 			}
-			for _, target := range coord.OnMobilityReport(r.Rep, aps) {
+			for _, target := range coord.OnMobilityReportInto(&r.Rep, aps, nil) {
 				req := ctlproto.MeasureRequest{Client: r.Rep.Client, Time: r.Rep.Time}
 				check(ctlproto.TypeMeasureRequest, req)
 				ans := loadgen.MeasureAnswer(target, req)

@@ -65,24 +65,15 @@ func NewCoordinator() *Coordinator {
 	}
 }
 
-// OnMobilityReport ingests a serving AP's classifier output. When the
-// client is macro-away (and not throttled), it returns the list of AP IDs
-// the controller should send MeasureRequests to; otherwise it returns nil.
-// It is the allocating convenience wrapper around OnMobilityReportInto.
-func (c *Coordinator) OnMobilityReport(rep MobilityReport, allAPs []string) []string {
-	targets := c.OnMobilityReportInto(&rep, allAPs, nil)
-	if len(targets) == 0 {
-		return nil
-	}
-	return targets
-}
-
-// OnMobilityReportInto is the allocation-free form of OnMobilityReport
-// for the server's report hot path: targets are appended into the
-// caller's buffer (reset to [:0] first) and the per-client state is
-// reused across rounds. allAPs must be sorted ascending (the server's
-// session table keeps it that way); the cap on targets is
-// c.MaxFanout. The returned slice aliases the targets buffer.
+// OnMobilityReportInto ingests a serving AP's classifier output. When the
+// client is macro-away (and not throttled), it returns the AP IDs the
+// controller should send MeasureRequests to; otherwise it returns an
+// empty slice. It is allocation-free for the server's report hot path:
+// targets are appended into the caller's buffer (reset to [:0] first)
+// and the per-client state is reused across rounds. allAPs must be
+// sorted ascending (the server's session table keeps it that way); the
+// cap on targets is c.MaxFanout. The returned slice aliases the targets
+// buffer.
 //
 //mobilint:hotpath
 func (c *Coordinator) OnMobilityReportInto(rep *MobilityReport, allAPs []string, targets []string) []string {
@@ -260,27 +251,19 @@ func (l *DecisionLog) add(e DecisionEntry) {
 	l.mu.Unlock()
 }
 
-// Len reports the number of recorded rounds.
-func (l *DecisionLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
-}
-
-// Entries returns a sorted copy of the log (the WriteText order).
-func (l *DecisionLog) Entries() []DecisionEntry {
+// WriteText renders the log sorted by client, time, serving AP and
+// target, one round per line. Timestamps are printed in microseconds
+// (the wire quantization grid), so equal logs render byte-identically.
+func (l *DecisionLog) WriteText(w io.Writer) error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
-	out := make([]DecisionEntry, len(l.entries))
-	copy(out, l.entries)
+	entries := make([]DecisionEntry, len(l.entries))
+	copy(entries, l.entries)
 	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	sort.Slice(entries, func(i, j int) bool {
+		a, b := entries[i], entries[j]
 		if a.Client != b.Client {
 			return a.Client < b.Client
 		}
@@ -292,14 +275,7 @@ func (l *DecisionLog) Entries() []DecisionEntry {
 		}
 		return a.Target < b.Target
 	})
-	return out
-}
-
-// WriteText renders the sorted log, one round per line. Timestamps are
-// printed in microseconds (the wire quantization grid), so equal logs
-// render byte-identically.
-func (l *DecisionLog) WriteText(w io.Writer) error {
-	for _, e := range l.Entries() {
+	for _, e := range entries {
 		_, err := fmt.Fprintf(w, "client=%s t_us=%d lat_us=%d serving=%s target=%s roamed=%t\n",
 			e.Client, QuantTime(e.Time), QuantTime(e.Latency), e.ServingAP, e.Target, e.Roamed)
 		if err != nil {

@@ -63,15 +63,15 @@ func TestCoordinatorMeasureFlow(t *testing.T) {
 	c := NewCoordinator()
 	all := []string{"ap1", "ap2", "ap3"}
 	// Static client: nothing happens.
-	if targets := c.OnMobilityReport(MobilityReport{
+	if targets := c.OnMobilityReportInto(&MobilityReport{
 		APID: "ap1", Client: "c1", State: core.StateStatic, Time: 1, RSSIdBm: -60,
-	}, all); targets != nil {
+	}, all, nil); len(targets) != 0 {
 		t.Fatalf("static client triggered measurement: %v", targets)
 	}
 	// Macro-away: measure on the two neighbors.
-	targets := c.OnMobilityReport(MobilityReport{
+	targets := c.OnMobilityReportInto(&MobilityReport{
 		APID: "ap1", Client: "c1", State: core.StateMacroAway, Time: 2, RSSIdBm: -70,
-	}, all)
+	}, all, nil)
 	if len(targets) != 2 || targets[0] == "ap1" || targets[1] == "ap1" {
 		t.Fatalf("targets = %v", targets)
 	}
@@ -99,9 +99,9 @@ func TestCoordinatorMeasureFlow(t *testing.T) {
 func TestCoordinatorNoCandidates(t *testing.T) {
 	c := NewCoordinator()
 	all := []string{"ap1", "ap2"}
-	c.OnMobilityReport(MobilityReport{
+	c.OnMobilityReportInto(&MobilityReport{
 		APID: "ap1", Client: "c1", State: core.StateMacroAway, Time: 1, RSSIdBm: -60,
-	}, all)
+	}, all, nil)
 	// Neighbor much weaker: no roam.
 	d, ok := c.OnMeasureReport(MeasureReport{
 		APID: "ap2", Client: "c1", RSSIdBm: -80, Approaching: true, Time: 1.5,
@@ -115,10 +115,10 @@ func TestCoordinatorThrottle(t *testing.T) {
 	c := NewCoordinator()
 	all := []string{"ap1", "ap2"}
 	roam := func(tm float64) bool {
-		targets := c.OnMobilityReport(MobilityReport{
+		targets := c.OnMobilityReportInto(&MobilityReport{
 			APID: "ap1", Client: "c1", State: core.StateMacroAway, Time: tm, RSSIdBm: -70,
-		}, all)
-		if targets == nil {
+		}, all, nil)
+		if len(targets) == 0 {
 			return false
 		}
 		_, ok := c.OnMeasureReport(MeasureReport{
@@ -142,7 +142,7 @@ func TestCoordinatorClientState(t *testing.T) {
 	if _, _, ok := c.ClientState("nobody"); ok {
 		t.Fatal("unknown client should report !ok")
 	}
-	c.OnMobilityReport(MobilityReport{APID: "ap9", Client: "c2", State: core.StateMicro, Time: 1}, nil)
+	c.OnMobilityReportInto(&MobilityReport{APID: "ap9", Client: "c2", State: core.StateMicro, Time: 1}, nil, nil)
 	ap, st, ok := c.ClientState("c2")
 	if !ok || ap != "ap9" || st != core.StateMicro {
 		t.Fatalf("ClientState = %v %v %v", ap, st, ok)
@@ -168,7 +168,7 @@ func waitEnv(t *testing.T, ch chan Envelope, wantType string) Envelope {
 }
 
 func TestEndToEndOverTCP(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", NewCoordinator())
+	srv, err := NewServerConfig("127.0.0.1:0", NewCoordinator(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestServerRejectsNoHello(t *testing.T) {
 		{"empty hello id", TypeHello, Hello{Version: ProtoVersion}, "bad hello: ap_id of 0 bytes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, err := NewServer("127.0.0.1:0", NewCoordinator())
+			srv, err := NewServerConfig("127.0.0.1:0", NewCoordinator(), Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,7 +279,7 @@ func TestServerRejectsNoHello(t *testing.T) {
 }
 
 func TestServerCloseUnblocksClients(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", NewCoordinator())
+	srv, err := NewServerConfig("127.0.0.1:0", NewCoordinator(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	coord := NewCoordinator()
 	coord.Met = met
-	srv, err := NewServer("127.0.0.1:0", coord)
+	srv, err := NewServerConfig("127.0.0.1:0", coord, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,14 +239,9 @@ func shardIndex(client string, n int) int {
 	return int(h % uint32(n))
 }
 
-// NewServer starts a controller listening on addr (e.g. "127.0.0.1:0")
-// with the default Config.
-func NewServer(addr string, coord *Coordinator) (*Server, error) {
-	return NewServerConfig(addr, coord, Config{})
-}
-
-// NewServerConfig starts a controller with explicit sharding and
-// backpressure settings. coord is the decision-logic prototype: its
+// NewServerConfig starts a controller listening on addr (e.g.
+// "127.0.0.1:0") with the given sharding and backpressure settings; the
+// zero Config takes the defaults. coord is the decision-logic prototype: its
 // thresholds, metrics and decision log are captured per shard at this
 // point (later mutation of coord is not seen by the server).
 func NewServerConfig(addr string, coord *Coordinator, cfg Config) (*Server, error) {
@@ -294,7 +289,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // SetMetrics attaches a telemetry bundle (safe at any time, including
 // while APs are connected; nil detaches). Counters observed before the
-// call are lost — attach right after NewServer to see the full lifecycle.
+// call are lost — attach right after NewServerConfig to see the full lifecycle.
 func (s *Server) SetMetrics(m *Metrics) { s.met.Store(m) }
 
 // metrics returns the current telemetry bundle; nil disables everything.

@@ -47,8 +47,7 @@ func AblationOracle(cfg Config) Result {
 			return sim.RunLink(scen, opt, cfg.Seed+uint64(l)).Mbps
 		}
 		o := sim.MotionAwareLinkOptions()
-		o.UseClassifier = false
-		o.OracleState = sim.OracleStateFunc(scen)
+		o.States = sim.GroundTruth
 		return triple{
 			stock:      run(sim.DefaultLinkOptions()),
 			classified: run(sim.MotionAwareLinkOptions()),
@@ -224,7 +223,7 @@ func AblationQuantization(cfg Config) Result {
 			mcfg.Duration = dur + 2
 			scen := mobility.NewScenario(mobility.Micro, mcfg, cfg.rng(2300+uint64(r)))
 			ch := bfChannel(scen, cfg.Seed+uint64(r)*13)
-			suCfg := beamforming.DefaultSUConfig()
+			suCfg := beamforming.DefaultConfig()
 			suCfg.FeedbackBits = bits
 			return beamforming.RunSU(ch, beamforming.FixedFeedback{T: 10e-3}, nil, suCfg, dur).Mbps
 		})
@@ -327,28 +326,10 @@ func AblationOrbit(cfg Config) Result {
 func AblationSched(cfg Config) Result {
 	runs := cfg.scaleInt(6, 3)
 	dur := cfg.scaleDur(14, 10)
-	mkClients := func(seed uint64) []sched.Client {
-		mk := func(i int, scen *mobility.Scenario) sched.Client {
-			chCfg := channel.DefaultConfig()
-			chCfg.TxPowerDBm = 2
-			ch := channel.New(chCfg, scen, stats.NewRNG(seed+uint64(i)*31+5))
-			return sched.Client{
-				Link:    mac.NewLink(ch, stats.NewRNG(seed+uint64(i)*31+9)),
-				Adapter: ratecontrol.NewAtheros(ratecontrol.DefaultLinkConfig()),
-				StateAt: sim.OracleStateFunc(scen),
-			}
-		}
-		mcfg := mobility.DefaultSceneConfig()
-		mcfg.Duration = dur
-		away := mobility.NewMacroScenario(mobility.HeadingAway, mcfg, stats.NewRNG(seed+1))
-		toward := mobility.NewMacroScenario(mobility.HeadingToward, mcfg, stats.NewRNG(seed+2))
-		static := mobility.NewScenario(mobility.Static, mcfg, stats.NewRNG(seed+3))
-		return []sched.Client{mk(0, away), mk(1, toward), mk(2, static)}
-	}
 	measure := func(mk func() sched.Policy) (total, fairness float64) {
 		var ts, fs []float64
 		for _, res := range parallel.RunTrials(runs, cfg.jobs(), func(r int) sched.Result {
-			return sched.Run(mkClients(cfg.Seed+uint64(r)*13), mk(),
+			return sched.Run(sim.SchedCell(cfg.Seed+uint64(r)*13, dur), mk(),
 				aggregation.Adaptive{}, dur)
 		}) {
 			ts = append(ts, res.TotalMbps)

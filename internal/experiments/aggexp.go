@@ -20,10 +20,10 @@ func init() {
 // aggLinkOptions builds a link configuration with a specific aggregation
 // policy and the stock RA (to isolate the aggregation effect) at a
 // moderate operating point.
-func aggLinkOptions(pol aggregation.Policy, useClassifier bool) sim.LinkOptions {
+func aggLinkOptions(pol aggregation.Policy, states sim.StateSource) sim.LinkOptions {
 	opt := sim.DefaultLinkOptions()
 	opt.Agg = pol
-	opt.UseClassifier = useClassifier
+	opt.States = states
 	// Moderate link budget: aggregation aging matters when the chosen
 	// rate has little SNR slack, which is where rate control operates.
 	opt.Channel.TxPowerDBm = 8
@@ -45,7 +45,7 @@ func Figure10a(cfg Config) Result {
 		for _, limit := range limits {
 			all := parallel.RunTrials(runs, cfg.jobs(), func(r int) float64 {
 				scen := sceneFor(mode, r, dur, 1, rng.Split(uint64(r)))
-				opt := aggLinkOptions(aggregation.Fixed{Limit: limit}, false)
+				opt := aggLinkOptions(aggregation.Fixed{Limit: limit}, sim.Oblivious)
 				return sim.RunLink(scen, opt, cfg.Seed+uint64(vi)*37+uint64(r)).Mbps
 			})
 			pts = append(pts, stats.Point{X: limit * 1000, Y: stats.Mean(all)})
@@ -109,9 +109,9 @@ func Figure10b(cfg Config) Result {
 		mk   func() sim.LinkOptions
 	}
 	cases := []policyCase{
-		{"fixed-8ms", func() sim.LinkOptions { return aggLinkOptions(aggregation.Fixed{Limit: 8e-3}, false) }},
-		{"fixed-4ms", func() sim.LinkOptions { return aggLinkOptions(aggregation.Fixed{Limit: 4e-3}, false) }},
-		{"adaptive", func() sim.LinkOptions { return aggLinkOptions(aggregation.Adaptive{}, true) }},
+		{"fixed-8ms", func() sim.LinkOptions { return aggLinkOptions(aggregation.Fixed{Limit: 8e-3}, sim.Oblivious) }},
+		{"fixed-4ms", func() sim.LinkOptions { return aggLinkOptions(aggregation.Fixed{Limit: 4e-3}, sim.Oblivious) }},
+		{"adaptive", func() sim.LinkOptions { return aggLinkOptions(aggregation.Adaptive{}, sim.Classifier) }},
 	}
 	// Each link cycles through static, micro and walking phases, as in
 	// the paper's per-location methodology; every policy sees the same

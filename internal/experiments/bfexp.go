@@ -51,7 +51,7 @@ func Figure11a(cfg Config) Result {
 				scen := sceneFor(mode, r, dur+2, 1, rng.Split(uint64(r)))
 				ch := bfChannel(scen, cfg.Seed+uint64(vi)*31+uint64(r))
 				return beamforming.RunSU(ch, beamforming.FixedFeedback{T: period}, nil,
-					beamforming.DefaultSUConfig(), dur).Mbps
+					beamforming.DefaultConfig(), dur).Mbps
 			})
 			pts = append(pts, stats.Point{X: period * 1000, Y: stats.Mean(all)})
 		}
@@ -101,7 +101,7 @@ func Figure11b(cfg Config) Result {
 			v := mobileVariants[l%len(mobileVariants)]
 			scen := variantScene(v, l, dur+6, rng.Split(uint64(l)))
 			stateAt := core.StateAt(core.RunScenario(scen, core.DefaultPipelineConfig(), cfg.Seed+uint64(l)))
-			suCfg := beamforming.DefaultSUConfig()
+			suCfg := beamforming.DefaultConfig()
 			suCfg.Obs = cfg.Obs
 			chA := bfChannel(scen, cfg.Seed+uint64(l)*7)
 			suCfg.Trial = trialsFig11b + l*2
@@ -183,7 +183,7 @@ func Figure12a(cfg Config) Result {
 	for i, res := range parallel.RunTrials(len(periods), cfg.jobs(), func(i int) beamforming.MUResult {
 		period := periods[i]
 		users := muTrio(cfg, 0, dur, [3]float64{period, period, period}, false)
-		return beamforming.RunMU(users, beamforming.DefaultMUConfig(), dur)
+		return beamforming.RunMU(users, beamforming.DefaultConfig(), dur)
 	}) {
 		period := periods[i]
 		for u := 0; u < 3; u++ {
@@ -223,10 +223,10 @@ func Figure12b(cfg Config) Result {
 		return muPair{
 			def: beamforming.RunMU(
 				muTrio(cfg, s, dur, [3]float64{20e-3, 20e-3, 20e-3}, false),
-				beamforming.DefaultMUConfig(), dur),
+				beamforming.DefaultConfig(), dur),
 			ada: beamforming.RunMU(
 				muTrio(cfg, s, dur, [3]float64{}, true),
-				beamforming.DefaultMUConfig(), dur),
+				beamforming.DefaultConfig(), dur),
 		}
 	}) {
 		def, ada := p.def, p.ada

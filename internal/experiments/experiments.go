@@ -37,9 +37,6 @@ type Config struct {
 	Obs *obs.Scope
 }
 
-// DefaultConfig is the configuration cmd/figures uses.
-func DefaultConfig() Config { return Config{Seed: 2014, Scale: 1} }
-
 // Trial-key bases for the instrumented experiments. cmd/figures runs
 // independent experiment IDs concurrently against one shared obs.Scope,
 // and per-trial tracers are single-goroutine by contract, so every
@@ -134,15 +131,6 @@ func IDs() []string {
 func Get(id string) (Runner, bool) {
 	r, ok := registry[id]
 	return r, ok
-}
-
-// RunAll executes every experiment in order.
-func RunAll(cfg Config) []Result {
-	out := make([]Result, 0, len(registryOrder))
-	for _, id := range registryOrder {
-		out = append(out, registry[id](cfg))
-	}
-	return out
 }
 
 // renderSeries formats the series block of a result.

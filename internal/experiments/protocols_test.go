@@ -207,15 +207,29 @@ func TestTable2Rendered(t *testing.T) {
 	}
 }
 
-func TestRunAllProducesEveryID(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full RunAll is exercised by cmd/figures")
+// TestRegistryResolvesEveryID checks the registry cmd/figures reads:
+// every ID that IDs lists is unique and resolves through Get, and a
+// runner returns its own ID (table2, the cheapest, at scale 0.1).
+func TestRegistryResolvesEveryID(t *testing.T) {
+	ids := IDs()
+	if len(ids) == 0 {
+		t.Fatal("no experiments registered")
 	}
-	// Only check the cheap registry plumbing here: every runner is
-	// callable and returns its own ID (at tiny scale for the cheapest).
-	r, _ := Get("table2")
-	res := r(Config{Seed: 1, Scale: 0.1})
-	if res.ID != "table2" {
+	seen := map[string]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			t.Errorf("duplicate ID %q", id)
+		}
+		seen[id] = true
+		if r, ok := Get(id); !ok || r == nil {
+			t.Errorf("IDs lists %q but Get does not resolve it", id)
+		}
+	}
+	r, ok := Get("table2")
+	if !ok {
+		t.Fatal("table2 not registered")
+	}
+	if res := r(Config{Seed: 1, Scale: 0.1}); res.ID != "table2" {
 		t.Fatalf("runner returned ID %q", res.ID)
 	}
 }

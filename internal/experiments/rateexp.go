@@ -224,37 +224,31 @@ func Figure9b(cfg Config) Result {
 
 	type schemeCase struct {
 		name string
-		mk   func(scen *mobility.Scenario) sim.LinkOptions
-	}
-	oracleHint := func(scen *mobility.Scenario, ad ratecontrol.Adapter) sim.LinkOptions {
-		opt := sim.DefaultLinkOptions()
-		opt.Adapter = ad
-		opt.UseClassifier = true
-		return opt
+		mk   func() sim.LinkOptions
 	}
 	cases := []schemeCase{
-		{"atheros", func(*mobility.Scenario) sim.LinkOptions {
+		{"atheros", func() sim.LinkOptions {
 			opt := sim.DefaultLinkOptions()
 			opt.Adapter = ratecontrol.NewAtheros(lc)
 			return opt
 		}},
-		{"motion-aware", func(*mobility.Scenario) sim.LinkOptions {
+		{"motion-aware", func() sim.LinkOptions {
 			return sim.MotionAwareLinkOptions()
 		}},
-		{"rapidsample", func(scen *mobility.Scenario) sim.LinkOptions {
+		{"rapidsample", func() sim.LinkOptions {
 			// RapidSample's hint comes from the device's accelerometer:
 			// ground-truth device-mobility bit, no PHY classification.
-			opt := oracleHint(scen, ratecontrol.NewRapidSample(lc))
-			opt.UseClassifier = false
-			opt.OracleState = sim.OracleStateFunc(scen)
+			opt := sim.DefaultLinkOptions()
+			opt.Adapter = ratecontrol.NewRapidSample(lc)
+			opt.States = sim.GroundTruth
 			return opt
 		}},
-		{"softrate", func(*mobility.Scenario) sim.LinkOptions {
+		{"softrate", func() sim.LinkOptions {
 			opt := sim.DefaultLinkOptions()
 			opt.Adapter = ratecontrol.NewSoftRate(lc)
 			return opt
 		}},
-		{"esnr", func(*mobility.Scenario) sim.LinkOptions {
+		{"esnr", func() sim.LinkOptions {
 			opt := sim.DefaultLinkOptions()
 			opt.Adapter = ratecontrol.NewESNR(lc)
 			return opt
@@ -265,7 +259,7 @@ func Figure9b(cfg Config) Result {
 	for _, sc := range cases {
 		all := parallel.RunTrials(walks, cfg.jobs(), func(w int) float64 {
 			scen := mixedMobilityScenario(w, dur, rng.Split(uint64(w)))
-			opt := sc.mk(scen)
+			opt := sc.mk()
 			isolateRA(&opt)
 			return sim.RunLink(scen, opt, cfg.Seed+uint64(w)).Mbps
 		})

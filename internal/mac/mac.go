@@ -36,7 +36,7 @@ type FrameResult struct {
 	// CSI is the receiver's channel estimate at frame start (same caveat).
 	// It aliases the link's reused measurement buffer: the matrix is valid
 	// only until the link's next Transmit call; callers that need to keep
-	// it must Clone it.
+	// it must copy it.
 	CSI *csi.Matrix
 }
 

@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"fmt"
 	"math"
 
 	"mobiwlan/internal/geom"
@@ -260,5 +261,32 @@ func NewCircleScenario(cfg SceneConfig, rng *stats.RNG) *Scenario {
 			Speed:      cfg.WalkSpeed,
 			StartAngle: rng.Split(2).Range(0, 6.283185),
 		},
+	}
+}
+
+// NamedScenario builds, in the default scene, the duration-second
+// scenario a command-line mode name selects: one of the four classes
+// ("env" is short for "environmental"), a macro walk "toward" or "away"
+// from the AP, or a "circle" around it.
+func NamedScenario(name string, duration float64, rng *stats.RNG) (*Scenario, error) {
+	cfg := DefaultSceneConfig()
+	cfg.Duration = duration
+	switch name {
+	case "static":
+		return NewScenario(Static, cfg, rng), nil
+	case "environmental", "env":
+		return NewScenario(Environmental, cfg, rng), nil
+	case "micro":
+		return NewScenario(Micro, cfg, rng), nil
+	case "macro":
+		return NewScenario(Macro, cfg, rng), nil
+	case "toward":
+		return NewMacroScenario(HeadingToward, cfg, rng), nil
+	case "away":
+		return NewMacroScenario(HeadingAway, cfg, rng), nil
+	case "circle":
+		return NewCircleScenario(cfg, rng), nil
+	default:
+		return nil, fmt.Errorf("unknown mode %q (static|env|micro|macro|toward|away|circle)", name)
 	}
 }

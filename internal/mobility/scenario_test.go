@@ -200,3 +200,32 @@ func TestScatterersHaveSaneReflectivity(t *testing.T) {
 }
 
 var _ = geom.Pt // keep geom imported even if assertions change
+
+func TestNamedScenario(t *testing.T) {
+	cases := []struct {
+		name    string
+		label   Mode
+		heading Heading
+	}{
+		{"static", Static, HeadingNone},
+		{"env", Environmental, HeadingNone},
+		{"environmental", Environmental, HeadingNone},
+		{"micro", Micro, HeadingNone},
+		{"macro", Macro, HeadingNone},
+		{"toward", Macro, HeadingToward},
+		{"away", Macro, HeadingAway},
+		{"circle", Macro, HeadingNone},
+	}
+	for _, c := range cases {
+		s, err := NamedScenario(c.name, 12, stats.NewRNG(1))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if s.Label != c.label || s.Heading != c.heading || s.Duration != 12 {
+			t.Errorf("%s: label %v heading %v duration %v", c.name, s.Label, s.Heading, s.Duration)
+		}
+	}
+	if _, err := NamedScenario("orbit", 12, stats.NewRNG(1)); err == nil {
+		t.Fatal("unknown mode accepted")
+	}
+}

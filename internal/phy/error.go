@@ -89,24 +89,19 @@ func OptimalMCS(w ChannelWidth, sgi bool, snrDB float64, lengthBytes, maxStreams
 	return best
 }
 
-// StaleSINRdB returns the post-equalization (or post-precoding) SINR when
-// the receiver equalizes with — or the transmitter precodes from — a stale
-// channel estimate whose complex correlation with the true channel is rho.
-// The mismatched channel component acts as self-interference:
+// StaleSINRdBLin returns the post-equalization (or post-precoding) SINR
+// when the receiver equalizes with — or the transmitter precodes from — a
+// stale channel estimate whose complex correlation with the true channel
+// is rho. The mismatched channel component acts as self-interference:
 //
 //	SINR = rho^2 * SNR / ((1 - rho^2) * SNR + 1)
 //
 // With rho = 1 the SNR is returned unchanged; as rho drops the SINR
 // saturates at rho^2/(1-rho^2) regardless of SNR. This single mechanism
 // produces the paper's aggregation (Fig. 10), SU-beamforming (Fig. 11),
-// and MU-MIMO (Fig. 12) staleness curves.
-func StaleSINRdB(snrDB, rho float64) float64 {
-	return StaleSINRdBLin(snrDB, math.Pow(10, snrDB/10), rho)
-}
-
-// StaleSINRdBLin is StaleSINRdB given also the linear SNR,
-// snr = math.Pow(10, snrDB/10), so a caller that evaluates many rho
-// against one SNR converts it once.
+// and MU-MIMO (Fig. 12) staleness curves. The caller passes the SNR both
+// in dB and linear, snr = math.Pow(10, snrDB/10), so one that evaluates
+// many rho against one SNR converts it once.
 func StaleSINRdBLin(snrDB, snr, rho float64) float64 {
 	if rho >= 1 {
 		return snrDB

@@ -190,9 +190,14 @@ func TestOptimalMCSIncreasesWithSNR(t *testing.T) {
 	}
 }
 
+// staleSINRdB is StaleSINRdBLin with the linear SNR converted here.
+func staleSINRdB(snrDB, rho float64) float64 {
+	return StaleSINRdBLin(snrDB, math.Pow(10, snrDB/10), rho)
+}
+
 func TestStaleSINRIdentityAtRhoOne(t *testing.T) {
 	for _, snr := range []float64{0, 10, 25} {
-		if got := StaleSINRdB(snr, 1); got != snr {
+		if got := staleSINRdB(snr, 1); got != snr {
 			t.Errorf("StaleSINR(%v, 1) = %v", snr, got)
 		}
 	}
@@ -201,7 +206,7 @@ func TestStaleSINRIdentityAtRhoOne(t *testing.T) {
 func TestStaleSINRMonotoneInRho(t *testing.T) {
 	prev := -100.0
 	for rho := 0.1; rho <= 1.0; rho += 0.05 {
-		s := StaleSINRdB(25, rho)
+		s := staleSINRdB(25, rho)
 		if s < prev {
 			t.Fatalf("StaleSINR not monotone in rho at %v", rho)
 		}
@@ -212,16 +217,16 @@ func TestStaleSINRMonotoneInRho(t *testing.T) {
 func TestStaleSINRSaturates(t *testing.T) {
 	// At rho=0.9, SINR caps near rho^2/(1-rho^2) = 6.3 dB regardless of SNR.
 	cap := 10 * math.Log10(0.81/0.19)
-	if got := StaleSINRdB(60, 0.9); math.Abs(got-cap) > 0.5 {
+	if got := staleSINRdB(60, 0.9); math.Abs(got-cap) > 0.5 {
 		t.Fatalf("high-SNR stale SINR = %v, want ~%v", got, cap)
 	}
 }
 
 func TestStaleSINRDegenerateRho(t *testing.T) {
-	if StaleSINRdB(20, 0) > -30 {
+	if staleSINRdB(20, 0) > -30 {
 		t.Fatal("rho=0 should collapse the SINR")
 	}
-	if StaleSINRdB(20, -0.5) > -30 {
+	if staleSINRdB(20, -0.5) > -30 {
 		t.Fatal("negative rho should collapse the SINR")
 	}
 }

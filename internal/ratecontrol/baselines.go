@@ -7,20 +7,6 @@ import (
 	"mobiwlan/internal/stats"
 )
 
-// Fixed always transmits at one MCS.
-type Fixed struct {
-	MCS phy.MCS
-}
-
-// Name implements Adapter.
-func (f Fixed) Name() string { return "fixed" }
-
-// SelectRate implements Adapter.
-func (f Fixed) SelectRate(float64) phy.MCS { return f.MCS }
-
-// OnResult implements Adapter.
-func (f Fixed) OnResult(float64, mac.FrameResult) {}
-
 // RapidSample is the sensor-hint scheme from "Improving Wireless Network
 // Performance Using Sensor Hints" (paper ref. [1]): a binary
 // mobile/static hint selects between SampleRate-style behaviour (static:

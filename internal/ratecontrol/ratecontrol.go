@@ -15,7 +15,6 @@
 //     or down one notch (it can only indicate a direction, paper §4.3).
 //   - ESNR: CSI feedback mapped through effective SNR directly to the
 //     best rate in a single observation.
-//   - Fixed: a trivial fixed-rate baseline.
 //
 // All adapters implement Adapter and are driven frame-by-frame by the
 // link simulator.

@@ -177,14 +177,6 @@ func TestTable2DesignRules(t *testing.T) {
 	}
 }
 
-func TestFixedAdapter(t *testing.T) {
-	f := Fixed{MCS: phy.ByIndex(3)}
-	if f.SelectRate(0).Index != 3 || f.Name() != "fixed" {
-		t.Fatal("Fixed misbehaves")
-	}
-	f.OnResult(0, mac.FrameResult{}) // no-op
-}
-
 func TestRapidSampleHintSwitching(t *testing.T) {
 	r := NewRapidSample(DefaultLinkConfig())
 	r.SetState(core.StateMicro)

@@ -84,40 +84,27 @@ func (AirtimeFair) Pick(_ float64, views []View) int {
 
 // MobilityAware scores clients by recent rate weighted by a per-state
 // urgency: macro-away clients are drained before their channel collapses,
-// macro-toward clients wait for their channel to improve. Every client is
-// guaranteed MinShare of the airtime, so opportunism never becomes
-// starvation.
-type MobilityAware struct {
-	// Urgency maps mobility states to scheduling weight; missing states
-	// default to 1.
-	Urgency map[core.State]float64
-	// MinShare is the per-client airtime floor (0 uses 1/(2n)).
-	MinShare float64
-}
+// macro-toward clients wait for their channel to improve. Every one of n
+// clients is guaranteed 1/(2n) of the airtime, so opportunism never
+// becomes starvation.
+type MobilityAware struct{}
 
-// DefaultUrgency is the §9-inspired weighting.
-var DefaultUrgency = map[core.State]float64{
+// urgency is the §9-inspired scheduling weight per mobility state;
+// missing states weigh 1.
+var urgency = map[core.State]float64{
 	core.StateMacroAway:   1.6,
 	core.StateMacroToward: 0.6,
 	core.StateMacroOrbit:  1.0,
 }
 
 // Name implements Policy.
-func (m MobilityAware) Name() string { return "mobility-aware" }
+func (MobilityAware) Name() string { return "mobility-aware" }
 
 // Pick implements Policy.
-func (m MobilityAware) Pick(_ float64, views []View) int {
-	urg := m.Urgency
-	if urg == nil {
-		urg = DefaultUrgency
-	}
-	// Airtime floor: any client below MinShare is served first (most
+func (MobilityAware) Pick(_ float64, views []View) int {
+	// Airtime floor: any client below 1/(2n) is served first (most
 	// starved wins), guaranteeing bounded delay for everyone.
-	minShare := m.MinShare
-	if minShare <= 0 {
-		minShare = 1 / (2 * float64(len(views)))
-	}
-	starved, starvedShare := -1, minShare
+	starved, starvedShare := -1, 1/(2*float64(len(views)))
 	for _, v := range views {
 		if v.AirtimeShare < starvedShare {
 			starved, starvedShare = v.Index, v.AirtimeShare
@@ -129,7 +116,7 @@ func (m MobilityAware) Pick(_ float64, views []View) int {
 	best, bestScore := 0, -1.0
 	for _, v := range views {
 		w := 1.0
-		if u, ok := urg[v.State]; ok {
+		if u, ok := urgency[v.State]; ok {
 			w = u
 		}
 		// Rate-weighted urgency with a mild airtime correction.

@@ -1,43 +1,18 @@
-package sched
+package sched_test
 
 import (
 	"testing"
 
 	"mobiwlan/internal/aggregation"
-	"mobiwlan/internal/channel"
 	"mobiwlan/internal/core"
-	"mobiwlan/internal/mac"
-	"mobiwlan/internal/mobility"
-	"mobiwlan/internal/ratecontrol"
+	"mobiwlan/internal/sched"
 	"mobiwlan/internal/sim"
 	"mobiwlan/internal/stats"
 )
 
-// trio builds the scheduler's canonical workload: one away-walker, one
-// toward-walker, one static client, all at a cell-edge power where channel
-// quality actually changes over the run.
-func trio(seed uint64, duration float64) []Client {
-	mk := func(i int, scen *mobility.Scenario) Client {
-		chCfg := channel.DefaultConfig()
-		chCfg.TxPowerDBm = 2
-		ch := channel.New(chCfg, scen, stats.NewRNG(seed+uint64(i)*31+5))
-		return Client{
-			Link:    mac.NewLink(ch, stats.NewRNG(seed+uint64(i)*31+9)),
-			Adapter: ratecontrol.NewAtheros(ratecontrol.DefaultLinkConfig()),
-			StateAt: sim.OracleStateFunc(scen),
-		}
-	}
-	cfg := mobility.DefaultSceneConfig()
-	cfg.Duration = duration
-	away := mobility.NewMacroScenario(mobility.HeadingAway, cfg, stats.NewRNG(seed+1))
-	toward := mobility.NewMacroScenario(mobility.HeadingToward, cfg, stats.NewRNG(seed+2))
-	static := mobility.NewScenario(mobility.Static, cfg, stats.NewRNG(seed+3))
-	return []Client{mk(0, away), mk(1, toward), mk(2, static)}
-}
-
 func TestRoundRobinCycles(t *testing.T) {
-	rr := &RoundRobin{}
-	views := make([]View, 3)
+	rr := &sched.RoundRobin{}
+	views := make([]sched.View, 3)
 	for i := range views {
 		views[i].Index = i
 	}
@@ -47,30 +22,30 @@ func TestRoundRobinCycles(t *testing.T) {
 }
 
 func TestAirtimeFairPicksSmallestShare(t *testing.T) {
-	views := []View{
+	views := []sched.View{
 		{Index: 0, AirtimeShare: 0.5},
 		{Index: 1, AirtimeShare: 0.2},
 		{Index: 2, AirtimeShare: 0.3},
 	}
-	if got := (AirtimeFair{}).Pick(0, views); got != 1 {
+	if got := (sched.AirtimeFair{}).Pick(0, views); got != 1 {
 		t.Fatalf("Pick = %d, want 1", got)
 	}
 }
 
 func TestMobilityAwarePrefersAwayClient(t *testing.T) {
-	views := []View{
+	views := []sched.View{
 		{Index: 0, State: core.StateMacroAway, RecentMbps: 50, AirtimeShare: 0.33},
 		{Index: 1, State: core.StateMacroToward, RecentMbps: 50, AirtimeShare: 0.33},
 		{Index: 2, State: core.StateStatic, RecentMbps: 50, AirtimeShare: 0.33},
 	}
-	if got := (MobilityAware{}).Pick(0, views); got != 0 {
+	if got := (sched.MobilityAware{}).Pick(0, views); got != 0 {
 		t.Fatalf("Pick = %d, want the away-walker", got)
 	}
 }
 
 func TestRunBasics(t *testing.T) {
-	clients := trio(1, 8)
-	res := Run(clients, &RoundRobin{}, nil, 8)
+	clients := sim.SchedCell(1, 8)
+	res := sched.Run(clients, &sched.RoundRobin{}, nil, 8)
 	if len(res.PerClientMbps) != 3 || res.TotalMbps <= 0 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -85,15 +60,15 @@ func TestRunBasics(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	res := Run(nil, &RoundRobin{}, nil, 1)
+	res := sched.Run(nil, &sched.RoundRobin{}, nil, 1)
 	if res.TotalMbps != 0 {
 		t.Fatal("empty run should be zero")
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a := Run(trio(2, 6), &RoundRobin{}, nil, 6)
-	b := Run(trio(2, 6), &RoundRobin{}, nil, 6)
+	a := sched.Run(sim.SchedCell(2, 6), &sched.RoundRobin{}, nil, 6)
+	b := sched.Run(sim.SchedCell(2, 6), &sched.RoundRobin{}, nil, 6)
 	if a.TotalMbps != b.TotalMbps {
 		t.Fatalf("same-seed runs differ: %v vs %v", a.TotalMbps, b.TotalMbps)
 	}
@@ -108,9 +83,9 @@ func TestMobilityAwareBeatsFairOnCellTotal(t *testing.T) {
 	var fair, aware []float64
 	for seed := uint64(0); seed < 4; seed++ {
 		duration := 14.0
-		fair = append(fair, Run(trio(seed*7+1, duration), AirtimeFair{},
+		fair = append(fair, sched.Run(sim.SchedCell(seed*7+1, duration), sched.AirtimeFair{},
 			aggregation.Adaptive{}, duration).TotalMbps)
-		aware = append(aware, Run(trio(seed*7+1, duration), MobilityAware{},
+		aware = append(aware, sched.Run(sim.SchedCell(seed*7+1, duration), sched.MobilityAware{},
 			aggregation.Adaptive{}, duration).TotalMbps)
 	}
 	f, a := stats.Mean(fair), stats.Mean(aware)
@@ -121,16 +96,16 @@ func TestMobilityAwareBeatsFairOnCellTotal(t *testing.T) {
 }
 
 func TestPolicyNames(t *testing.T) {
-	if (&RoundRobin{}).Name() != "round-robin" ||
-		(AirtimeFair{}).Name() != "airtime-fair" ||
-		(MobilityAware{}).Name() != "mobility-aware" {
+	if (&sched.RoundRobin{}).Name() != "round-robin" ||
+		(sched.AirtimeFair{}).Name() != "airtime-fair" ||
+		(sched.MobilityAware{}).Name() != "mobility-aware" {
 		t.Fatal("policy names wrong")
 	}
 }
 
 func TestMobilityAwareNeverStarves(t *testing.T) {
-	clients := trio(9, 10)
-	res := Run(clients, MobilityAware{}, aggregation.Adaptive{}, 10)
+	clients := sim.SchedCell(9, 10)
+	res := sched.Run(clients, sched.MobilityAware{}, aggregation.Adaptive{}, 10)
 	for i, m := range res.PerClientMbps {
 		if m <= 0 {
 			t.Fatalf("client %d starved under mobility-aware scheduling: %v", i, res.PerClientMbps)
@@ -142,11 +117,11 @@ func TestMobilityAwareNeverStarves(t *testing.T) {
 }
 
 func TestMobilityAwareFloorServesStarved(t *testing.T) {
-	views := []View{
+	views := []sched.View{
 		{Index: 0, State: core.StateMacroAway, RecentMbps: 200, AirtimeShare: 0.9},
 		{Index: 1, State: core.StateStatic, RecentMbps: 0, AirtimeShare: 0.05},
 	}
-	if got := (MobilityAware{}).Pick(0, views); got != 1 {
+	if got := (sched.MobilityAware{}).Pick(0, views); got != 1 {
 		t.Fatalf("Pick = %d, want the starved client", got)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"mobiwlan/internal/mobility"
 	"mobiwlan/internal/obs"
 	"mobiwlan/internal/ratecontrol"
+	"mobiwlan/internal/sched"
 	"mobiwlan/internal/stats"
 	"mobiwlan/internal/tof"
 	"mobiwlan/internal/transport"
@@ -31,19 +32,29 @@ type LinkOptions struct {
 	Agg aggregation.Policy
 	// Source is the traffic source (nil means saturated UDP).
 	Source transport.Source
-	// UseClassifier feeds the classifier's state into state-aware
-	// protocols. When false, protocols run mobility-oblivious.
-	UseClassifier bool
-	// OracleState, when set, replaces the classifier output with ground
-	// truth — the ablation separating classification error from protocol
-	// benefit.
-	OracleState func(t float64) core.State
+	// States selects the mobility state the state-aware protocols read.
+	States StateSource
 	// Obs, when non-nil, collects classifier, MAC, and rate-control
 	// telemetry; Trial keys the per-trial tracer (distinct concurrent
 	// trials must use distinct keys).
 	Obs   *obs.Scope
 	Trial int
 }
+
+// StateSource selects where a link's protocols read the client's
+// mobility state.
+type StateSource int
+
+const (
+	// Oblivious runs the protocols mobility-oblivious: they always read
+	// StateUnknown.
+	Oblivious StateSource = iota
+	// Classifier feeds them the classifier's output.
+	Classifier
+	// GroundTruth feeds them the scenario's true state — the ablation
+	// separating classification error from protocol benefit.
+	GroundTruth
+)
 
 // DefaultLinkOptions returns a mobility-oblivious stock configuration:
 // Atheros RA, fixed 4 ms aggregation, saturated UDP.
@@ -63,7 +74,7 @@ func MotionAwareLinkOptions() LinkOptions {
 	opt := DefaultLinkOptions()
 	opt.Adapter = ratecontrol.NewMobilityAware(ratecontrol.DefaultLinkConfig())
 	opt.Agg = aggregation.Adaptive{}
-	opt.UseClassifier = true
+	opt.States = Classifier
 	return opt
 }
 
@@ -126,11 +137,11 @@ func RunLink(scen *mobility.Scenario, opt LinkOptions, seed uint64) LinkResult {
 		}
 
 		state := core.StateUnknown
-		switch {
-		case opt.OracleState != nil:
-			state = opt.OracleState(t)
-		case opt.UseClassifier:
+		switch opt.States {
+		case Classifier:
 			state = cls.State()
+		case GroundTruth:
+			state = core.StateFor(scen.GroundTruth(t))
 		}
 		res.StateDurations[state] += t - prevT
 		prevT = t
@@ -165,4 +176,27 @@ func OracleStateFunc(scen *mobility.Scenario) func(t float64) core.State {
 		mode, heading := scen.GroundTruth(t)
 		return core.StateFor(mode, heading)
 	}
+}
+
+// SchedCell builds the downlink scheduler's three-client cell: an
+// away-walker, a toward-walker and a static client, at a cell-edge power
+// (2 dBm) where channel quality changes over the run. Each client's
+// state is its scenario's ground truth; all randomness derives from seed.
+func SchedCell(seed uint64, duration float64) []sched.Client {
+	mk := func(i int, scen *mobility.Scenario) sched.Client {
+		chCfg := channel.DefaultConfig()
+		chCfg.TxPowerDBm = 2
+		ch := channel.New(chCfg, scen, stats.NewRNG(seed+uint64(i)*31+5))
+		return sched.Client{
+			Link:    mac.NewLink(ch, stats.NewRNG(seed+uint64(i)*31+9)),
+			Adapter: ratecontrol.NewAtheros(ratecontrol.DefaultLinkConfig()),
+			StateAt: OracleStateFunc(scen),
+		}
+	}
+	cfg := mobility.DefaultSceneConfig()
+	cfg.Duration = duration
+	away := mobility.NewMacroScenario(mobility.HeadingAway, cfg, stats.NewRNG(seed+1))
+	toward := mobility.NewMacroScenario(mobility.HeadingToward, cfg, stats.NewRNG(seed+2))
+	static := mobility.NewScenario(mobility.Static, cfg, stats.NewRNG(seed+3))
+	return []sched.Client{mk(0, away), mk(1, toward), mk(2, static)}
 }

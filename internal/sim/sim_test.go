@@ -46,7 +46,7 @@ func TestRunLinkClassifierTracksState(t *testing.T) {
 func TestRunLinkOracleState(t *testing.T) {
 	scen := makeScenario(mobility.Micro, 4, 4)
 	opt := MotionAwareLinkOptions()
-	opt.OracleState = OracleStateFunc(scen)
+	opt.States = GroundTruth
 	res := RunLink(scen, opt, 11)
 	if res.StateDurations[core.StateMicro] < 3 {
 		t.Fatalf("oracle state durations = %v", res.StateDurations)
@@ -78,7 +78,7 @@ func TestRunLinkTCPSource(t *testing.T) {
 
 func TestMotionAwareLinkOptionsWiring(t *testing.T) {
 	opt := MotionAwareLinkOptions()
-	if !opt.UseClassifier {
+	if opt.States != Classifier {
 		t.Fatal("classifier disabled")
 	}
 	if _, ok := opt.Adapter.(*ratecontrol.MobilityAware); !ok {

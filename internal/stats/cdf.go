@@ -19,9 +19,6 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// Len returns the number of samples backing the CDF.
-func (c *CDF) Len() int { return len(c.sorted) }
-
 // At returns P(X <= x).
 func (c *CDF) At(x float64) float64 {
 	if len(c.sorted) == 0 {
@@ -34,28 +31,6 @@ func (c *CDF) At(x float64) float64 {
 	}
 	return float64(i) / float64(len(c.sorted))
 }
-
-// Quantile returns the smallest sample value v such that At(v) >= q, for q
-// in (0, 1]. For q <= 0 it returns the minimum sample.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	i := int(q * float64(len(c.sorted)))
-	if i >= len(c.sorted) {
-		i = len(c.sorted) - 1
-	}
-	return c.sorted[i]
-}
-
-// Median returns the 0.5 quantile.
-func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
 // Points returns n evenly spaced (value, cumulative-probability) points
 // suitable for plotting the CDF curve, interpolated over the sample range.

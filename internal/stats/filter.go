@@ -105,9 +105,6 @@ func (e *EWMA) Value() float64 { return e.val }
 // Initialized reports whether at least one sample has been folded in.
 func (e *EWMA) Initialized() bool { return e.init }
 
-// Reset clears the average.
-func (e *EWMA) Reset() { e.val, e.init = 0, false }
-
 // Set overrides the current average with v, marking the EWMA initialized.
 // Rate control uses this to enforce PER monotonicity across bit-rates.
 func (e *EWMA) Set(v float64) { e.val, e.init = v, true }

@@ -132,10 +132,6 @@ func TestEWMA(t *testing.T) {
 	if e.Value() != 15 {
 		t.Fatalf("Value = %v", e.Value())
 	}
-	e.Reset()
-	if e.Initialized() || e.Value() != 0 {
-		t.Fatal("Reset did not clear EWMA")
-	}
 }
 
 func TestEWMAConvergence(t *testing.T) {

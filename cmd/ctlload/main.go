@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	burst := fs.Int("burst", 4, "reports per telemetry burst")
 	roamEvery := fs.Int("roam-every", 12, "every Nth report of a client is macro-away (0 = no triggers)")
 	minInterval := fs.Float64("min-interval", 1, "controller roam throttle in sim seconds")
-	batch := fs.Int("batch", 64, "v2 delta-batch size (0 or 1 = plain v1 reports)")
+	batch := fs.Int("batch", 64, "most reports per report-batch frame, 1-512 (1 = one report per frame)")
 	snapshotEvery := fs.Int("snapshot-every", 0, "per-client snapshot interval in batches (0 = default)")
 	jobs := fs.Int("jobs", 4, "concurrent sender workers (results are identical at any value)")
 	shards := fs.Int("shards", 8, "controller report-processing shards (embedded controller only)")

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -83,6 +84,7 @@ func TestDumpSchedule(t *testing.T) {
 func TestBadFlagsExitCode(t *testing.T) {
 	cases := [][]string{
 		{"-aps", "0"},
+		{"-batch", "0"},
 		{"-batch", "100000"},
 		{"-policy", "explode"},
 		{"-not-a-flag"},
@@ -95,13 +97,13 @@ func TestBadFlagsExitCode(t *testing.T) {
 	}
 }
 
-// TestPolicyAndV1Paths exercises the disconnect policy and the v1
-// unbatched path end to end (nothing should drop at these sizes, so
+// TestPolicyAndOneEntryBatches exercises the disconnect policy and
+// one-entry batches end to end (nothing should drop at these sizes, so
 // both exit clean).
-func TestPolicyAndV1Paths(t *testing.T) {
+func TestPolicyAndOneEntryBatches(t *testing.T) {
 	for _, args := range [][]string{
 		{"-aps", "4", "-clients", "1", "-reports", "13", "-policy", "disconnect"},
-		{"-aps", "4", "-clients", "1", "-reports", "13", "-batch", "0"},
+		{"-aps", "4", "-clients", "1", "-reports", "13", "-batch", "1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 0 {
@@ -110,5 +112,29 @@ func TestPolicyAndV1Paths(t *testing.T) {
 		if !strings.Contains(stdout.String(), "dropped=0 out_dropped=0") {
 			t.Fatalf("%v: unexpected drops:\n%s", args, stdout.String())
 		}
+	}
+}
+
+// TestBatchSizeMovesOnlyFrames runs the smoke workload with one report
+// per frame: only the frame count may differ from the default 64-entry
+// batches, and it must equal the report count.
+func TestBatchSizeMovesOnlyFrames(t *testing.T) {
+	var batched, single bytes.Buffer
+	if code := run(smokeArgs, &batched, &bytes.Buffer{}); code != 0 {
+		t.Fatalf("default run exited %d", code)
+	}
+	if code := run(append(append([]string{}, smokeArgs...), "-batch", "1"), &single, &bytes.Buffer{}); code != 0 {
+		t.Fatalf("-batch 1 exited %d", code)
+	}
+	frames := regexp.MustCompile(`frames=\d+`)
+	if a, b := frames.ReplaceAllString(batched.String(), "frames=N"), frames.ReplaceAllString(single.String(), "frames=N"); a != b {
+		t.Fatalf("-batch 1 moved more than frames=:\n%s\nvs\n%s", single.String(), batched.String())
+	}
+	counts := regexp.MustCompile(`reports=(\d+) frames=(\d+)`).FindStringSubmatch(single.String())
+	if counts == nil || counts[1] != counts[2] {
+		t.Fatalf("-batch 1: want one frame per report, got %q", counts)
+	}
+	if batched.String() == single.String() {
+		t.Fatal("-batch 64 and -batch 1 sent the same number of frames")
 	}
 }

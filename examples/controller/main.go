@@ -79,16 +79,19 @@ func main() {
 			meter := tof.NewMeter(tof.DefaultConfig(), rng.Split(2))
 			cls := core.New(core.DefaultConfig())
 			trend := tof.NewTrendDetector(3, 0, 0.8)
-			var filter stats.MedianFilter
+			var medians tof.Medians
 
 			conn, err := ctlproto.Dial(srv.Addr(), id)
 			if err != nil {
 				log.Fatal(err)
 			}
 			defer conn.Close()
+			// Each report goes out at once, as a one-entry batch.
+			enc := ctlproto.BatchEncoder{APID: id}
+			var batch ctlproto.ReportBatch
 
 			serving := id == "a1" // the client associates with a1 at start
-			nextCSI, nextToF, nextReport, lastFlush := 0.0, 0.0, 1.0, 0.0
+			nextCSI, nextToF, nextReport := 0.0, 0.0, 1.0
 			for t := 0.0; t < duration; t += 0.01 {
 				// Pace the simulated clock (~20x real time) so the TCP
 				// control plane keeps up with the radio plane.
@@ -101,26 +104,26 @@ func main() {
 					if serving && cls.ToFActive() {
 						cls.ObserveToF(t, meter.Raw(link.Distance(t)))
 					}
-					filter.Add(meter.Raw(link.Distance(t)))
-					nextToF += tof.SampleInterval
-				}
-				if t-lastFlush >= 1 {
-					lastFlush = t
-					if med, ok := filter.Flush(); ok {
+					if med, ok := medians.Add(t, meter.Raw(link.Distance(t)), cls.Config().MedianInterval); ok {
 						trend.Push(med)
 					}
+					nextToF += tof.SampleInterval
 				}
 				if serving && t >= nextReport {
 					nextReport = t + 1
 					rssi := link.Measure(t).RSSIdBm
 					fmt.Printf("t=%4.1fs  %s reports client %s (%.0f dBm)\n",
 						t, id, cls.State(), rssi)
-					if err := conn.ReportMobility(ctlproto.MobilityReport{
+					err := enc.Add(&ctlproto.MobilityReport{
 						Client:  client,
 						State:   cls.State(),
 						Time:    t,
 						RSSIdBm: rssi,
-					}); err != nil {
+					})
+					if err == nil && enc.Flush(&batch) {
+						err = conn.ReportBatch(&batch)
+					}
+					if err != nil {
 						fmt.Fprintf(os.Stderr, "%s: mobility report: %v\n", id, err)
 					}
 				}

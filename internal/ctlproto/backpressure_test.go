@@ -43,7 +43,7 @@ func waitFor(tb testing.TB, what string, cond func() bool) {
 // received = processed + dropped — once the pipeline drains.
 func TestBackpressureStalledShardIsolation(t *testing.T) {
 	reg := obs.NewRegistry()
-	coord := &Coordinator{SimilarDB: 3, MinInterval: 0.1, Met: NewMetrics(reg, nil)}
+	coord := &Coordinator{MinInterval: 0.1, Met: NewMetrics(reg, nil)}
 	const queueDepth = 4
 	srv, err := NewServerConfig("127.0.0.1:0", coord, Config{
 		Shards: 2, QueueDepth: queueDepth, SendQueueDepth: 16, Policy: PolicyDrop,
@@ -76,7 +76,7 @@ func TestBackpressureStalledShardIsolation(t *testing.T) {
 	// Flood the stalled shard. Static states: no fan-out when drained.
 	const flood = 50
 	for i := 0; i < flood; i++ {
-		err := stallAP.ReportMobility(MobilityReport{
+		err := sendReport(stallAP, MobilityReport{
 			Client: clientStalled, State: core.StateStatic,
 			Time: float64(i), RSSIdBm: -60,
 		})
@@ -94,7 +94,7 @@ func TestBackpressureStalledShardIsolation(t *testing.T) {
 	// still complete: trigger from ap-live, answer from ap-stall (its
 	// connection and writer are healthy — only its client's shard is
 	// stalled), directive back to ap-live.
-	err = liveAP.ReportMobility(MobilityReport{
+	err = sendReport(liveAP, MobilityReport{
 		Client: clientLive, State: core.StateMacroAway, Time: 100, RSSIdBm: -70,
 	})
 	if err != nil {
@@ -161,7 +161,7 @@ func TestBackpressureStalledShardIsolation(t *testing.T) {
 // report AND closes the offending session.
 func TestBackpressurePolicyDisconnect(t *testing.T) {
 	reg := obs.NewRegistry()
-	coord := &Coordinator{SimilarDB: 3, MinInterval: 0.1, Met: NewMetrics(reg, nil)}
+	coord := &Coordinator{MinInterval: 0.1, Met: NewMetrics(reg, nil)}
 	srv, err := NewServerConfig("127.0.0.1:0", coord, Config{
 		Shards: 1, QueueDepth: 1, Policy: PolicyDisconnect,
 	})
@@ -184,7 +184,7 @@ func TestBackpressurePolicyDisconnect(t *testing.T) {
 	// overflow disconnects. Sends may start failing once the server
 	// closes the conn — that is the success signal, not an error.
 	for i := 0; i < 10; i++ {
-		if err := ap.ReportMobility(MobilityReport{
+		if err := sendReport(ap, MobilityReport{
 			Client: "c1", State: core.StateStatic, Time: float64(i), RSSIdBm: -60,
 		}); err != nil {
 			break

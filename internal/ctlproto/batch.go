@@ -6,12 +6,12 @@ import (
 	"mobiwlan/internal/core"
 )
 
-// Batch encode/decode for protocol v2. The encoder turns a stream of
-// MobilityReports into snapshot/delta BatchEntries; the decoder mirrors
-// it, reconstructing full reports. Both sides keep per-client integer
-// state on the fixed-point grid (QuantTime/QuantRSSI), so a delta stream
-// reconstructs exactly the values a per-report stream would carry for
-// any report already on the grid.
+// Batch encode/decode, the one wire path of mobility reports. The
+// encoder turns a stream of MobilityReports into snapshot/delta
+// BatchEntries; the decoder mirrors it, reconstructing full reports.
+// Both sides keep per-client integer state on the fixed-point grid
+// (QuantTime/QuantRSSI), so the decoder reconstructs exactly the
+// encoder's input for any report already on the grid.
 
 // Sentinel errors of the batch decoder. Values, not formatted strings:
 // the decode path is allocation-free and the callers only branch on

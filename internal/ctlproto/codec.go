@@ -7,14 +7,12 @@ import (
 	"math"
 	"strconv"
 	"sync"
-
-	"mobiwlan/internal/core"
 )
 
 // The reflection-free codec of the hot message types: Hello,
-// MobilityReport, MeasureRequest, MeasureReport, RoamDirective and
-// ReportBatch. It matches encoding/json exactly, on a canonical shape,
-// and hands everything else to encoding/json (DESIGN.md §11):
+// MeasureRequest, MeasureReport, RoamDirective and ReportBatch. It
+// matches encoding/json exactly, on a canonical shape, and hands
+// everything else to encoding/json (DESIGN.md §11):
 //
 //   - wireEncoder appends the bytes json.Marshal writes for a value of
 //     a hot type (or a non-nil pointer to a ReportBatch or a
@@ -98,8 +96,6 @@ func appendPayload(b []byte, payload any) ([]byte, bool) {
 		e.measureRequest(&p)
 	case MeasureReport:
 		e.measureReport(&p)
-	case MobilityReport:
-		e.mobilityReport(&p)
 	case Hello:
 		e.hello(&p)
 	default:
@@ -159,24 +155,6 @@ func (e *wireEncoder) bool(v bool)   { e.b = strconv.AppendBool(e.b, v) }
 func (e *wireEncoder) hello(p *Hello) {
 	e.lit(`{"ap_id":`)
 	e.str(p.APID)
-	if p.Version != 0 {
-		e.lit(`,"version":`)
-		e.int(int64(p.Version))
-	}
-	e.lit(`}`)
-}
-
-func (e *wireEncoder) mobilityReport(p *MobilityReport) {
-	e.lit(`{"ap_id":`)
-	e.str(p.APID)
-	e.lit(`,"client":`)
-	e.str(p.Client)
-	e.lit(`,"state":`)
-	e.int(int64(p.State))
-	e.lit(`,"time":`)
-	e.float(p.Time)
-	e.lit(`,"rssi_dbm":`)
-	e.float(p.RSSIdBm)
 	e.lit(`}`)
 }
 
@@ -270,8 +248,6 @@ func wireType(typ []byte) string {
 	switch string(typ) {
 	case TypeHello:
 		return TypeHello
-	case TypeMobilityReport:
-		return TypeMobilityReport
 	case TypeMeasureRequest:
 		return TypeMeasureRequest
 	case TypeMeasureReport:
@@ -297,8 +273,6 @@ func canonicalPayload(typ string, p []byte) bool {
 		return scanMeasureReport(p, nil)
 	case TypeRoamDirective:
 		return scanRoamDirective(p, nil)
-	case TypeMobilityReport:
-		return scanMobilityReport(p, nil)
 	case TypeHello:
 		return scanHello(p, nil)
 	}
@@ -318,8 +292,6 @@ func scanPayload(out any, p []byte) bool {
 		return scanMeasureReport(p, o)
 	case *RoamDirective:
 		return scanRoamDirective(p, o)
-	case *MobilityReport:
-		return scanMobilityReport(p, o)
 	case *Hello:
 		return scanHello(p, o)
 	}
@@ -479,38 +451,12 @@ func scanHello(p []byte, out *Hello) bool {
 	s := wireScanner{b: p, ok: true}
 	s.lit(`{"ap_id":`)
 	ap := s.str()
-	var version int64
-	if s.opt(`,"version":`) {
-		version = s.int(strconv.IntSize)
-	}
 	s.lit(`}`)
 	if !s.done() {
 		return false
 	}
 	if out != nil {
-		*out = Hello{APID: string(ap), Version: int(version)}
-	}
-	return true
-}
-
-func scanMobilityReport(p []byte, out *MobilityReport) bool {
-	s := wireScanner{b: p, ok: true}
-	s.lit(`{"ap_id":`)
-	ap := s.str()
-	s.lit(`,"client":`)
-	client := s.str()
-	s.lit(`,"state":`)
-	state := s.int(strconv.IntSize)
-	s.lit(`,"time":`)
-	t := s.float()
-	s.lit(`,"rssi_dbm":`)
-	rssi := s.float()
-	s.lit(`}`)
-	if !s.done() {
-		return false
-	}
-	if out != nil {
-		*out = MobilityReport{APID: string(ap), Client: string(client), State: core.State(state), Time: t, RSSIdBm: rssi}
+		*out = Hello{APID: string(ap)}
 	}
 	return true
 }

@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"testing"
 	"unicode/utf8"
-
-	"mobiwlan/internal/core"
 )
 
 // checkEncode checks WriteMsg against the reference framing for one
@@ -74,7 +72,6 @@ func TestEncoderMatchesMarshal(t *testing.T) {
 	}
 	for _, f := range floats {
 		checkEncode(t, TypeMeasureRequest, MeasureRequest{Client: "c1", Time: f}, true)
-		checkEncode(t, TypeMobilityReport, MobilityReport{APID: "ap1", Client: "c1", State: core.StateMicro, Time: f, RSSIdBm: -f}, true)
 		checkEncode(t, TypeMeasureReport, MeasureReport{APID: "ap1", Client: "c1", RSSIdBm: f, Time: f}, true)
 		checkEncode(t, TypeRoamDirective, &RoamDirective{Client: "c1", ServingAP: "ap1", Time: f}, true)
 	}
@@ -84,8 +81,6 @@ func TestEncoderMatchesMarshal(t *testing.T) {
 		checkEncode(t, TypeRoamDirective, RoamDirective{Time: bad}, false)
 	}
 	for _, v := range []int64{0, 1, -1, math.MaxInt64, math.MinInt64} {
-		checkEncode(t, TypeHello, Hello{APID: "ap1", Version: int(v)}, true)
-		checkEncode(t, TypeMobilityReport, MobilityReport{State: core.State(v)}, true)
 		checkEncode(t, TypeReportBatch, &ReportBatch{APID: "ap1", Seq: uint64(v), Entries: []BatchEntry{
 			{Client: "c1", Snap: v > 0, S: int(v), T: v, R: -v},
 			{Client: "c2", T: v},
@@ -186,12 +181,9 @@ func TestScannerMatchesUnmarshal(t *testing.T) {
 		{TypeRoamDirective, `{"client":"c1","serving_ap":"ap1","candidates":["ap2",]}`, false},
 		{TypeRoamDirective, `{"client":"c1","serving_ap":"ap1","candidates":[,"ap2"]}`, false},
 		{TypeRoamDirective, `{"client":"c1","serving_ap":"ap1"}`, false},
-		{TypeMobilityReport, `{"ap_id":"ap1","client":"c1","state":3,"time":1.5,"rssi_dbm":-60.25}`, true},
-		{TypeMobilityReport, `{"ap_id":"ap1","client":"c1","state":1.5,"time":1.5,"rssi_dbm":-60.25}`, false},
-		{TypeMobilityReport, `{"ap_id":"ap1","client":"c1","state":-1,"time":1.5,"rssi_dbm":-60.25}`, true},
-		{TypeHello, `{"ap_id":"ap1","version":2}`, true},
 		{TypeHello, `{"ap_id":"ap1"}`, true},
-		{TypeHello, `{"ap_id":"ap1","version":0}`, true},
+		{TypeHello, `{"ap_id":"ap1","version":2}`, false},
+		{TypeHello, `{"ap_id":"ap1","version":0}`, false},
 		{TypeHello, `{"ap_id":"ap1","version":2e0}`, false},
 		{TypeHello, `{"AP_ID":"ap1"}`, false},
 		{TypeHello, "{\"ap_id\":\"ap1\"}\n", false},
@@ -215,8 +207,6 @@ func decodeAs(t *testing.T, msgType string, p []byte) bool {
 		return checkDecode[MeasureReport](t, msgType, p)
 	case TypeRoamDirective:
 		return checkDecode[RoamDirective](t, msgType, p)
-	case TypeMobilityReport:
-		return checkDecode[MobilityReport](t, msgType, p)
 	case TypeHello:
 		return checkDecode[Hello](t, msgType, p)
 	}
@@ -226,7 +216,7 @@ func decodeAs(t *testing.T, msgType string, p []byte) bool {
 
 // hotTypes are the message types the codec carries without
 // encoding/json.
-var hotTypes = []string{TypeReportBatch, TypeMeasureRequest, TypeMeasureReport, TypeRoamDirective, TypeMobilityReport, TypeHello}
+var hotTypes = []string{TypeReportBatch, TypeMeasureRequest, TypeMeasureReport, TypeRoamDirective, TypeHello}
 
 // TestDecodeBatchIntoReuses checks the server's reused batch: entries
 // decode into the previous batch's array, and every decode, scanned or
@@ -288,8 +278,7 @@ func FuzzWriteMsgPayload(f *testing.F) {
 			typ string
 			p   any
 		}{
-			{TypeHello, Hello{APID: s1, Version: int(i1)}},
-			{TypeMobilityReport, MobilityReport{APID: s1, Client: s2, State: core.State(i1), Time: f1, RSSIdBm: f2}},
+			{TypeHello, Hello{APID: s1}},
 			{TypeMeasureRequest, MeasureRequest{Client: s1, Time: f1}},
 			{TypeMeasureReport, MeasureReport{APID: s1, Client: s2, RSSIdBm: f1, Approaching: b, Time: f2}},
 			{TypeRoamDirective, RoamDirective{Client: s1, ServingAP: s2, Candidates: cands, Time: f1}},
@@ -331,6 +320,9 @@ func FuzzDecodePayload(f *testing.F) {
 		`{"ap_id":"ap1","seq":-0,"entries":[]}`,
 		`{"client":"c1","time":1e400}`,
 		`{"client":"c1","serving_ap":"ap1","candidates":["ap2",null]}`,
+		// What an AP of the old protocol sent: a versioned hello and a
+		// per-report payload.
+		`{"ap_id":"ap1","version":2}`,
 		`{"ap_id":"ap1","client":"c1","state":3,"time":1.5,"rssi_dbm":-60.25}`,
 	} {
 		f.Add([]byte(s))

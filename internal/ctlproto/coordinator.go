@@ -9,13 +9,17 @@ import (
 	"mobiwlan/internal/core"
 )
 
+// similarDB admits a measured candidate within this many dB of the RSSI
+// that opened its round: the paper's §3.1 band, which
+// roaming.MobilityAware applies in the simulator. ctlproto keeps its own
+// copy because importing roaming would link the simulator into the
+// controller.
+const similarDB = 3
+
 // Coordinator is the controller's decision logic (paper §3.1), independent
 // of the transport: feed it mobility and measurement reports, and it emits
 // measurement requests and roam directives. Safe for concurrent use.
 type Coordinator struct {
-	// SimilarDB admits candidates within this much of the serving AP's
-	// RSSI.
-	SimilarDB float64
 	// MinInterval throttles consecutive roams of the same client, in
 	// report-time seconds.
 	MinInterval float64
@@ -59,7 +63,6 @@ type clientState struct {
 // NewCoordinator returns a coordinator with the paper's thresholds.
 func NewCoordinator() *Coordinator {
 	return &Coordinator{
-		SimilarDB:   3,
 		MinInterval: 3,
 		clients:     map[string]*clientState{},
 	}
@@ -127,21 +130,18 @@ func (c *Coordinator) OnMobilityReportInto(rep *MobilityReport, allAPs []string,
 	return targets
 }
 
-// OnMeasureReport ingests a neighbor AP's measurement. Once reports from
-// `expected` APs have arrived it decides: if a candidate with
-// similar-or-better RSSI that the client is approaching exists, it returns
-// a RoamDirective (and true); otherwise (nil, false) once measurement
-// completes, or (nil, false) while reports are still pending.
-//
-// expected is a fallback for callers driving the coordinator directly;
-// when the round was opened by OnMobilityReportInto the count fixed at
-// round start wins, so sessions joining or leaving mid-round cannot
-// stall or double-fire the decision.
+// OnMeasureReport ingests a neighbor AP's measurement. Once every AP
+// asked when OnMobilityReportInto opened the round has answered, it
+// decides: if a candidate with similar-or-better RSSI that the client is
+// approaching exists, it returns a RoamDirective (and true); otherwise
+// (nil, false) once measurement completes, or (nil, false) while reports
+// are still pending. The count is fixed at round start, so sessions
+// joining or leaving mid-round cannot stall or double-fire the decision.
 //
 // The decision timestamp is the maximum report time in the round — an
 // order-independent aggregate — so decision logs are identical no
 // matter how socket scheduling interleaved the arrivals.
-func (c *Coordinator) OnMeasureReport(rep MeasureReport, expected int) (*RoamDirective, bool) {
+func (c *Coordinator) OnMeasureReport(rep MeasureReport) (*RoamDirective, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.clients[rep.Client]
@@ -149,10 +149,7 @@ func (c *Coordinator) OnMeasureReport(rep MeasureReport, expected int) (*RoamDir
 		return nil, false
 	}
 	st.reports[rep.APID] = rep
-	if st.expected > 0 {
-		expected = st.expected
-	}
-	if len(st.reports) < expected {
+	if len(st.reports) < st.expected {
 		return nil, false
 	}
 	st.measuring = false
@@ -163,7 +160,7 @@ func (c *Coordinator) OnMeasureReport(rep MeasureReport, expected int) (*RoamDir
 		}
 	}
 	latency := roundTime - st.measureStart
-	// Decision: strongest approaching candidate within SimilarDB of the
+	// Decision: strongest approaching candidate within similarDB of the
 	// RSSI that opened the round.
 	type cand struct {
 		ap   string
@@ -171,7 +168,7 @@ func (c *Coordinator) OnMeasureReport(rep MeasureReport, expected int) (*RoamDir
 	}
 	var cands []cand
 	for ap, r := range st.reports {
-		if r.Approaching && r.RSSIdBm >= st.measureRSSI-c.SimilarDB {
+		if r.Approaching && r.RSSIdBm >= st.measureRSSI-similarDB {
 			cands = append(cands, cand{ap, r.RSSIdBm})
 		}
 	}

@@ -11,10 +11,11 @@
 // decision logic independent of the transport so it is directly testable;
 // Server and APConn wire it to real sockets.
 //
-// Protocol v2 adds report batching with delta/snapshot encoding
-// (TypeReportBatch, BatchEncoder/DeltaDecoder) and shards the server's
-// sessions across goroutine groups with bounded backpressure; see
-// DESIGN.md §11 for the versioning and backpressure contract.
+// Mobility reports travel one way: a BatchEncoder delta/snapshot-encodes
+// them into TypeReportBatch frames and the server's DeltaDecoder
+// reconstructs them. The server shards its sessions across goroutine
+// groups with bounded backpressure; see DESIGN.md §11 for the wire
+// format and the backpressure contract.
 package ctlproto
 
 import (
@@ -33,8 +34,6 @@ import (
 const (
 	// TypeHello registers an AP with the controller.
 	TypeHello = "hello"
-	// TypeMobilityReport carries a client's classifier state from its AP.
-	TypeMobilityReport = "mobility-report"
 	// TypeMeasureRequest asks an AP to probe a client with NULL frames.
 	TypeMeasureRequest = "measure-request"
 	// TypeMeasureReport returns the AP's measurement of the client.
@@ -42,43 +41,35 @@ const (
 	// TypeRoamDirective tells the serving AP to disassociate the client,
 	// and names the candidate APs allowed to answer its probe requests.
 	TypeRoamDirective = "roam-directive"
-	// TypeReportBatch carries several delta/snapshot-encoded mobility
-	// reports in one frame (protocol v2; see ReportBatch).
+	// TypeReportBatch carries an AP's delta/snapshot-encoded mobility
+	// reports, one or more to a frame (see ReportBatch).
 	TypeReportBatch = "report-batch"
 )
-
-// ProtoVersion is the protocol generation this package speaks. The wire
-// format is additive-only: a v2 sender may batch reports with
-// TypeReportBatch, and v2 requests carry extra timestamp fields, but
-// every v1 message remains valid and is handled unchanged, so v1 APs
-// interoperate with a v2 controller and vice versa.
-const ProtoVersion = 2
 
 // Hello registers an AP.
 type Hello struct {
 	APID string `json:"ap_id"`
-	// Version is the sender's protocol generation. 0 (absent) and 1 both
-	// mean v1: per-report messages only. 2 adds report batching.
-	Version int `json:"version,omitempty"`
 }
 
-// MobilityReport is an AP's periodic classifier output for one client.
+// MobilityReport is an AP's periodic classifier output for one client:
+// a BatchEncoder's input, a DeltaDecoder's output and the Coordinator's
+// input. It is not a wire type; it travels as a ReportBatch entry.
 type MobilityReport struct {
-	APID   string     `json:"ap_id"`
-	Client string     `json:"client"`
-	State  core.State `json:"state"`
-	Time   float64    `json:"time"`
+	APID   string
+	Client string
+	State  core.State
+	Time   float64
 	// RSSIdBm is the serving AP's current measurement of the client.
-	RSSIdBm float64 `json:"rssi_dbm"`
+	RSSIdBm float64
 }
 
 // MeasureRequest asks an AP to measure a client.
 type MeasureRequest struct {
 	Client string `json:"client"`
 	// Time is the sim-time stamp of the report that opened the
-	// measurement round (v2, additive). Responders echo it into
-	// MeasureReport.Time so round-trip accounting stays in sim time and
-	// is reproducible across runs; v1 responders leave it zero.
+	// measurement round. Responders echo it into MeasureReport.Time so
+	// round-trip accounting stays in sim time and is reproducible across
+	// runs.
 	Time float64 `json:"time,omitempty"`
 }
 
@@ -99,13 +90,13 @@ type RoamDirective struct {
 	ServingAP string `json:"serving_ap"`
 	// Candidates are the APs allowed to answer the client's probes.
 	Candidates []string `json:"candidates"`
-	// Time is the sim-time stamp of the decision (v2, additive): the
-	// Time of the measure report that completed the round.
+	// Time is the sim-time stamp of the decision: the Time of the
+	// measure report that completed the round.
 	Time float64 `json:"time,omitempty"`
 }
 
-// ReportBatch carries several mobility reports in one frame (v2). Each
-// entry is either a snapshot (absolute values) or a delta against the
+// ReportBatch carries an AP's mobility reports, one or more to a frame.
+// Each entry is either a snapshot (absolute values) or a delta against the
 // sender's previous report for the same client; the receiver
 // reconstructs full MobilityReports with a DeltaDecoder. Entries for
 // distinct clients commute, entries for the same client apply in order.
@@ -118,9 +109,8 @@ type ReportBatch struct {
 
 // BatchEntry is one encoded report. Times and RSSI travel as fixed-point
 // integers — microseconds of sim time and centi-dB — so deltas are exact
-// integer arithmetic and a delta/snapshot stream reconstructs the same
-// values as the equivalent full-report stream, bit for bit, for any
-// report on the quantization grid.
+// integer arithmetic and the decoder reconstructs the encoder's input
+// reports bit for bit, for any report on the quantization grid.
 type BatchEntry struct {
 	Client string `json:"client"`
 	// Snap marks a snapshot: T, R and S carry absolute values and reset

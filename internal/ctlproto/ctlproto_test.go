@@ -16,22 +16,23 @@ import (
 	"time"
 
 	"mobiwlan/internal/core"
+	"mobiwlan/internal/obs"
 )
 
 func TestMessageRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	rep := MobilityReport{APID: "ap1", Client: "aa:bb", State: core.StateMacroAway, Time: 12.5, RSSIdBm: -70}
-	if err := WriteMsg(&buf, TypeMobilityReport, rep); err != nil {
+	rep := MeasureReport{APID: "ap1", Client: "aa:bb", RSSIdBm: -70, Approaching: true, Time: 12.5}
+	if err := WriteMsg(&buf, TypeMeasureReport, rep); err != nil {
 		t.Fatal(err)
 	}
 	env, err := ReadMsg(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Type != TypeMobilityReport {
+	if env.Type != TypeMeasureReport {
 		t.Fatalf("type = %q", env.Type)
 	}
-	got, err := DecodePayload[MobilityReport](env)
+	got, err := DecodePayload[MeasureReport](env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +79,13 @@ func TestCoordinatorMeasureFlow(t *testing.T) {
 	// First report: pending.
 	if d, ok := c.OnMeasureReport(MeasureReport{
 		APID: "ap2", Client: "c1", RSSIdBm: -68, Approaching: true, Time: 2.5,
-	}, 2); ok || d != nil {
+	}); ok || d != nil {
 		t.Fatal("decision before all reports arrived")
 	}
 	// Second report completes the round; ap2 is approaching and stronger.
 	d, ok := c.OnMeasureReport(MeasureReport{
 		APID: "ap3", Client: "c1", RSSIdBm: -60, Approaching: false, Time: 2.6,
-	}, 2)
+	})
 	if !ok || d == nil {
 		t.Fatal("expected a roam directive")
 	}
@@ -105,7 +106,7 @@ func TestCoordinatorNoCandidates(t *testing.T) {
 	// Neighbor much weaker: no roam.
 	d, ok := c.OnMeasureReport(MeasureReport{
 		APID: "ap2", Client: "c1", RSSIdBm: -80, Approaching: true, Time: 1.5,
-	}, 1)
+	})
 	if ok || d != nil {
 		t.Fatal("weak candidate should not trigger a roam")
 	}
@@ -123,7 +124,7 @@ func TestCoordinatorThrottle(t *testing.T) {
 		}
 		_, ok := c.OnMeasureReport(MeasureReport{
 			APID: "ap2", Client: "c1", RSSIdBm: -60, Approaching: true, Time: tm,
-		}, 1)
+		})
 		return ok
 	}
 	if !roam(10) {
@@ -147,6 +148,19 @@ func TestCoordinatorClientState(t *testing.T) {
 	if !ok || ap != "ap9" || st != core.StateMicro {
 		t.Fatalf("ClientState = %v %v %v", ap, st, ok)
 	}
+}
+
+// sendReport sends rep from ap as a one-entry batch. Each call encodes
+// with a fresh BatchEncoder, so the entry is a snapshot and needs no
+// delta history.
+func sendReport(ap *APConn, rep MobilityReport) error {
+	enc := BatchEncoder{APID: ap.ID}
+	if err := enc.Add(&rep); err != nil {
+		return err
+	}
+	var b ReportBatch
+	enc.Flush(&b)
+	return ap.ReportBatch(&b)
 }
 
 // waitEnv receives one inbound envelope with a timeout.
@@ -196,7 +210,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 
 	// ap1 reports its client walking away.
-	if err := ap1.ReportMobility(MobilityReport{
+	if err := sendReport(ap1, MobilityReport{
 		Client: "aa:bb:cc:dd:ee:ff", State: core.StateMacroAway, Time: 3, RSSIdBm: -72,
 	}); err != nil {
 		t.Fatal(err)
@@ -233,9 +247,9 @@ func TestServerRejectsNoHello(t *testing.T) {
 		payload any
 		log     string
 	}{
-		{"report first", TypeMobilityReport, MobilityReport{APID: "ap1", Client: "c1", Time: 1},
-			`connection without hello: first message is "mobility-report"`},
-		{"empty hello id", TypeHello, Hello{Version: ProtoVersion}, "bad hello: ap_id of 0 bytes"},
+		{"report first", TypeReportBatch, &ReportBatch{APID: "ap1", Entries: []BatchEntry{{Client: "c1", Snap: true, S: 1, T: 1}}},
+			`connection without hello: first message is "report-batch"`},
+		{"empty hello id", TypeHello, Hello{}, "bad hello: ap_id of 0 bytes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, err := NewServerConfig("127.0.0.1:0", NewCoordinator(), Config{})
@@ -278,6 +292,64 @@ func TestServerRejectsNoHello(t *testing.T) {
 	}
 }
 
+// TestServerRejectsMobilityReportFrame sends the per-report frame an AP
+// of the old protocol writes after its hello: the server logs it as an
+// unexpected type, routes and counts nothing, and keeps the session,
+// which then serves a report batch.
+func TestServerRejectsMobilityReportFrame(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, err := NewServerConfig("127.0.0.1:0", NewCoordinator(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.SetMetrics(NewMetrics(reg, nil))
+	var mu sync.Mutex
+	var logs []string
+	srv.Logf = func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	ap1, err := Dial(srv.Addr(), "ap1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ap1.Close()
+	ap2, err := Dial(srv.Addr(), "ap2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ap2.Close()
+	waitFor(t, "sessions registered", func() bool { return len(srv.APs()) == 2 })
+
+	// A macro-away report that would open a round if it were routed.
+	stale := json.RawMessage(`{"ap_id":"ap1","client":"c1","state":4,"time":3,"rssi_dbm":-72}`)
+	if err := WriteMsg(ap1.conn, "mobility-report", stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := sendReport(ap1, MobilityReport{Client: "c2", State: core.StateMacroAway, Time: 3, RSSIdBm: -72}); err != nil {
+		t.Fatal(err)
+	}
+	// The session reads frames in order, so the batch's round follows
+	// the stale frame's handling.
+	req, err := DecodePayload[MeasureRequest](waitEnv(t, ap2.Inbound, TypeMeasureRequest))
+	if err != nil || req.Client != "c2" {
+		t.Fatalf("measure request = %+v, %v; want one for c2", req, err)
+	}
+	if received, _, _, _, ok := srv.SessionStats("ap1"); !ok || received != 1 {
+		t.Fatalf("ap1 received = %d (session up: %v), want 1: the batch entry only", received, ok)
+	}
+	if got := reg.Counter("ctlproto.rx.report-batch").Value(); got != 1 {
+		t.Fatalf("rx.report-batch = %d, want 1", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := `ap1: unexpected message type "mobility-report"`; !strings.Contains(strings.Join(logs, "\n"), want) {
+		t.Fatalf("logs %q do not contain %q", logs, want)
+	}
+}
+
 func TestServerCloseUnblocksClients(t *testing.T) {
 	srv, err := NewServerConfig("127.0.0.1:0", NewCoordinator(), Config{})
 	if err != nil {
@@ -300,29 +372,29 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 }
 
 func TestWriteReadRoundTripProperty(t *testing.T) {
-	f := func(apRaw, clientRaw [8]byte, state uint8, tm float64, rssi float64) bool {
+	f := func(apRaw, clientRaw [8]byte, approaching bool, tm float64, rssi float64) bool {
 		var buf bytes.Buffer
-		rep := MobilityReport{
-			APID:    fmt.Sprintf("%x", apRaw),
-			Client:  fmt.Sprintf("%x", clientRaw),
-			State:   core.State(state % 6),
-			Time:    tm,
-			RSSIdBm: rssi,
+		rep := MeasureReport{
+			APID:        fmt.Sprintf("%x", apRaw),
+			Client:      fmt.Sprintf("%x", clientRaw),
+			RSSIdBm:     rssi,
+			Approaching: approaching,
+			Time:        tm,
 		}
-		if err := WriteMsg(&buf, TypeMobilityReport, rep); err != nil {
+		if err := WriteMsg(&buf, TypeMeasureReport, rep); err != nil {
 			return false
 		}
 		env, err := ReadMsg(&buf)
 		if err != nil {
 			return false
 		}
-		got, err := DecodePayload[MobilityReport](env)
+		got, err := DecodePayload[MeasureReport](env)
 		if err != nil {
 			return false
 		}
 		// NaN/Inf are not JSON-encodable floats; quick won't generate them
 		// from float64 params often, but guard anyway.
-		return got.APID == rep.APID && got.Client == rep.Client && got.State == rep.State
+		return got.APID == rep.APID && got.Client == rep.Client && got.Approaching == rep.Approaching
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -335,8 +407,7 @@ var typedSamples = []struct {
 	typ     string
 	payload any
 }{
-	{TypeHello, Hello{APID: "ap1", Version: ProtoVersion}},
-	{TypeMobilityReport, MobilityReport{APID: "ap1", Client: "c1", State: core.StateMacroAway, Time: 1.5, RSSIdBm: -60.25}},
+	{TypeHello, Hello{APID: "ap1"}},
 	{TypeMeasureRequest, MeasureRequest{Client: "c1", Time: 1.5}},
 	{TypeMeasureReport, MeasureReport{APID: "ap2", Client: "c1", RSSIdBm: -55, Approaching: true, Time: 1.5}},
 	{TypeRoamDirective, &RoamDirective{Client: "c1", ServingAP: "ap1", Candidates: []string{"ap2", "ap3"}, Time: 1.5}},
@@ -374,8 +445,8 @@ func TestWriteMsgMatchesEnvelopeMarshal(t *testing.T) {
 	// A string payload's frame is this long plus the string's length.
 	overhead := len(`{"type":"hello","payload":""}`)
 	rows := []row{
-		{name: "HTML and line separators", typ: TypeMobilityReport,
-			payload: MobilityReport{APID: "<ap&1>", Client: "c\u2028\u2029"}},
+		{name: "HTML and line separators", typ: TypeMeasureReport,
+			payload: MeasureReport{APID: "<ap&1>", Client: "c\u2028\u2029"}},
 		{name: "non-ASCII ids", typ: TypeHello, payload: Hello{APID: "ap-é-東京-\U0001F4E1"}},
 		{name: "nil payload, empty type", typ: "", payload: nil},
 		{name: "raw payload", typ: TypeMeasureRequest, payload: json.RawMessage(` {"client" : "<c1>"} `)},

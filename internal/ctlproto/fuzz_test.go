@@ -25,7 +25,7 @@ func frame(tb testing.TB, msgType string, payload any) []byte {
 func FuzzReadMsg(f *testing.F) {
 	// Valid frames for every message type.
 	f.Add(frame(f, TypeHello, Hello{APID: "ap1"}))
-	f.Add(frame(f, TypeMobilityReport, MobilityReport{APID: "ap1", Client: "c1", Time: 1.5, RSSIdBm: -60}))
+	f.Add(frame(f, TypeReportBatch, ReportBatch{APID: "ap1", Entries: []BatchEntry{{Client: "c1", Snap: true, S: 1, T: 1_500_000, R: -6000}}}))
 	f.Add(frame(f, TypeMeasureRequest, MeasureRequest{Client: "c1"}))
 	f.Add(frame(f, TypeMeasureReport, MeasureReport{APID: "ap2", Client: "c1", RSSIdBm: -55, Approaching: true}))
 	f.Add(frame(f, TypeRoamDirective, RoamDirective{Client: "c1", ServingAP: "ap1", Candidates: []string{"ap2", "ap3"}}))
@@ -47,8 +47,8 @@ func FuzzReadMsg(f *testing.F) {
 		switch env.Type {
 		case TypeHello:
 			_, _ = DecodePayload[Hello](env)
-		case TypeMobilityReport:
-			_, _ = DecodePayload[MobilityReport](env)
+		case TypeReportBatch:
+			_, _ = DecodePayload[ReportBatch](env)
 		case TypeMeasureRequest:
 			_, _ = DecodePayload[MeasureRequest](env)
 		case TypeMeasureReport:
@@ -64,7 +64,7 @@ func FuzzReadMsg(f *testing.F) {
 	})
 }
 
-// FuzzBatchRoundTrip drives the v2 delta encoder/decoder pair through
+// FuzzBatchRoundTrip drives the delta encoder/decoder pair through
 // the real wire framing: any report stream derived from the fuzzed
 // parameters must encode, frame, read back, validate, and replay to
 // exactly the original reports.
@@ -217,10 +217,10 @@ func FuzzReadMsgRoundTrip(f *testing.F) {
 // FuzzReadMsgSplit checks ReadMsg's fast path against the decoder it
 // stands in for: every body splitEnvelope accepts must give the
 // Envelope json.Unmarshal gives. The seeds hold a frame of every
-// message type, each of which must take the split, and near misses that
-// must not: skipping json.Valid fails on the trailing duplicate type
-// and the truncated payload, and accepting '\' in the type fails on
-// the escaped type.
+// message type, each of which must take the split, a frame of a type
+// the protocol no longer has, and near misses that must not: skipping
+// json.Valid fails on the trailing duplicate type and the truncated
+// payload, and accepting '\' in the type fails on the escaped type.
 func FuzzReadMsgSplit(f *testing.F) {
 	for _, m := range typedSamples {
 		body := frame(f, m.typ, m.payload)[4:]
@@ -241,6 +241,7 @@ func FuzzReadMsgSplit(f *testing.F) {
 		`{"type":"hello","payload":{"ap_id":}`,
 		`{"Type":"hello","payload":1}`,
 		`{"payload":1,"type":"hello"}`,
+		`{"type":"mobility-report","payload":{"ap_id":"ap1","client":"c1","state":4,"time":3,"rssi_dbm":-72}}`,
 	} {
 		f.Add([]byte(body))
 	}

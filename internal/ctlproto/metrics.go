@@ -36,7 +36,7 @@ type Metrics struct {
 	// disconnects counts sessions closed by PolicyDisconnect.
 	outDropped  *obs.Counter
 	disconnects *obs.Counter
-	// batchEntries samples the size of accepted v2 report batches;
+	// batchEntries samples the size of accepted report batches;
 	// batchRejected counts rejected batches and entries.
 	batchEntries  *obs.Histogram
 	batchRejected *obs.Counter
@@ -45,8 +45,7 @@ type Metrics struct {
 
 // messageTypes lists every protocol message, for counter pre-creation.
 var messageTypes = []string{
-	TypeHello, TypeMobilityReport, TypeMeasureRequest, TypeMeasureReport, TypeRoamDirective,
-	TypeReportBatch,
+	TypeHello, TypeMeasureRequest, TypeMeasureReport, TypeRoamDirective, TypeReportBatch,
 }
 
 // NewMetrics creates the controller metric handles on reg, tracing

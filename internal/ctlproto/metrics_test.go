@@ -43,7 +43,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	if err := ap1.ReportMobility(MobilityReport{
+	if err := sendReport(ap1, MobilityReport{
 		Client: "aa:bb:cc:dd:ee:ff", State: core.StateMacroAway, Time: 3, RSSIdBm: -72,
 	}); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	check("ctlproto.conns.opened", 2)
 	check("ctlproto.sessions", 2)
 	check("ctlproto.rx.hello", 2)
-	check("ctlproto.rx.mobility-report", 1)
+	check("ctlproto.rx.report-batch", 1)
 	check("ctlproto.rx.measure-report", 1)
 	check("ctlproto.tx.measure-request", 1)
 	check("ctlproto.tx.roam-directive", 1)

@@ -77,7 +77,7 @@ func (cfg Config) withDefaults() Config {
 // routes their reports through per-shard Coordinators, and pushes
 // measurement requests and roam directives back to the right APs.
 //
-// Report flow: a connection goroutine decodes frames (expanding v2
+// Report flow: a connection goroutine decodes frames (expanding report
 // batches through a per-session DeltaDecoder), then offers each report
 // to the owning client's shard queue without blocking. Each shard is a
 // single goroutine with its own Coordinator (clients are partitioned by
@@ -108,9 +108,8 @@ type Server struct {
 }
 
 // sessionTable is an immutable snapshot of the registered sessions.
-// ids stays sorted: it feeds MeasureRequest fan-out and the
-// coordinator's expected-report count, so it must not inherit Go's
-// randomized map iteration order.
+// ids stays sorted: it feeds MeasureRequest fan-out, so it must not
+// inherit Go's randomized map iteration order.
 type sessionTable struct {
 	ids  []string
 	byID map[string]*apSession
@@ -214,11 +213,7 @@ func (sh *shard) process(m *shardMsg) {
 			}
 		}
 	case kindMeasure:
-		expected := len(tab.ids) - 1
-		if expected < 1 {
-			expected = 1
-		}
-		if d, ok := sh.coord.OnMeasureReport(m.meas, expected); ok {
+		if d, ok := sh.coord.OnMeasureReport(m.meas); ok {
 			s.sendTo(tab, d.ServingAP, TypeRoamDirective, d)
 		}
 	}
@@ -275,7 +270,6 @@ func NewServerConfig(addr string, coord *Coordinator, cfg Config) (*Server, erro
 // metrics, decision log) into a fresh instance with empty client state.
 func (c *Coordinator) shardClone() *Coordinator {
 	return &Coordinator{
-		SimilarDB:   c.SimilarDB,
 		MinInterval: c.MinInterval,
 		MaxFanout:   c.MaxFanout,
 		Met:         c.Met,
@@ -494,12 +488,6 @@ type readState struct {
 func (s *Server) handle(sess *apSession, rs *readState, env Envelope) error {
 	s.metrics().observeRx(env.Type)
 	switch env.Type {
-	case TypeMobilityReport:
-		r, err := DecodePayload[MobilityReport](env)
-		if err != nil {
-			return err
-		}
-		s.route(sess, shardMsg{kind: kindMobility, sess: sess, mob: r})
 	case TypeReportBatch:
 		b := &rs.batch
 		if err := decodeBatchInto(env, b); err != nil {
@@ -593,15 +581,14 @@ type APConn struct {
 	Inbound chan Envelope
 }
 
-// Dial connects an AP to the controller and registers it, announcing
-// protocol v2 (a v1 controller ignores the extra hello field).
+// Dial connects an AP to the controller and registers it with a hello.
 func Dial(addr, apID string) (*APConn, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("ctlproto: dial: %w", err)
 	}
 	a := &APConn{ID: apID, conn: conn, Inbound: make(chan Envelope, 16)}
-	if err := WriteMsg(conn, TypeHello, Hello{APID: apID, Version: ProtoVersion}); err != nil {
+	if err := WriteMsg(conn, TypeHello, Hello{APID: apID}); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
@@ -621,16 +608,8 @@ func (a *APConn) readLoop() {
 	}
 }
 
-// ReportMobility sends a classifier state update to the controller.
-func (a *APConn) ReportMobility(rep MobilityReport) error {
-	rep.APID = a.ID
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
-	return WriteMsg(a.conn, TypeMobilityReport, rep)
-}
-
-// ReportBatch sends a v2 delta/snapshot batch (stamp it with this
-// connection's ID; the server rejects mismatched batches).
+// ReportBatch sends a delta/snapshot batch of mobility reports, stamped
+// with this connection's ID (the server rejects mismatched batches).
 func (a *APConn) ReportBatch(b *ReportBatch) error {
 	b.APID = a.ID
 	a.wmu.Lock()

@@ -14,7 +14,7 @@ import (
 )
 
 // soakCfg is the 1000-AP fleet: 2000 clients, 50k mobility reports in
-// v2 delta batches, 4000 measurement rounds (every client triggers at
+// delta batches, 4000 measurement rounds (every client triggers at
 // its 12th and 24th report).
 func soakCfg() loadgen.Config {
 	return loadgen.Config{
@@ -126,7 +126,7 @@ func runSoak(t *testing.T, cfg loadgen.Config, jobs int) (string, loadgen.Stats)
 }
 
 // TestSoakShardedFleet is the city-scale soak: a 1000-AP fleet streams
-// 50k mobility reports as v2 delta batches through the sharded server
+// 50k mobility reports as delta batches through the sharded server
 // and completes 4000 measurement rounds, twice with identical seeds but
 // different worker counts. Run under -race in CI. It pins the PR's two
 // headline contracts at once: exact conservation at every session (no

@@ -49,7 +49,10 @@ var reachAllow = map[string]struct{ dir, test string }{
 // called or not. A method reached through an interface is approximated
 // by name: a call of interface method M reaches every module method
 // named M, as does a standard-library function or field whose interface
-// parameter or type has a method M; fmt reaches String and Error.
+// parameter or type has a method M; fmt reaches String and Error. Such
+// a dispatched name reaches a method only once its receiver type is
+// live: named in a reached body or a package-level declaration. A type
+// that only tests build therefore does not keep its methods.
 func TestReachability(t *testing.T) {
 	scan := loadReach(t, "../..")
 	reached := scan.reach()
@@ -159,11 +162,28 @@ func (s *reachScan) reach() map[*types.Func]bool {
 			work = append(work, fn)
 		}
 	}
+	// live holds the module types reached code names; waiting holds,
+	// per type not yet live, the dispatched methods it would reach.
+	live := map[*types.TypeName]bool{}
+	waiting := map[*types.TypeName][]*types.Func{}
+	use := func(tn *types.TypeName) {
+		if !live[tn] {
+			live[tn] = true
+			for _, m := range waiting[tn] {
+				mark(m)
+			}
+			delete(waiting, tn)
+		}
+	}
 	dispatch := func(name string) {
 		if !dispatched[name] {
 			dispatched[name] = true
 			for _, m := range s.methods[name] {
-				mark(m)
+				if tn := recvTypeName(m); live[tn] {
+					mark(m)
+				} else {
+					waiting[tn] = append(waiting[tn], m)
+				}
 			}
 		}
 	}
@@ -197,6 +217,10 @@ func (s *reachScan) reach() map[*types.Func]bool {
 			case *types.Var:
 				if obj.IsField() && obj.Pkg() != nil && !s.inModule(obj.Pkg().Path()) {
 					dispatchIface(obj.Type())
+				}
+			case *types.TypeName:
+				if obj.Pkg() != nil && s.inModule(obj.Pkg().Path()) {
+					use(obj)
 				}
 			}
 			return true
@@ -243,6 +267,15 @@ func (s *reachScan) pos(fn *types.Func) string {
 		rel = p.Filename
 	}
 	return fmt.Sprintf("%s:%d", filepath.ToSlash(rel), p.Line)
+}
+
+// recvTypeName returns the named type a method is declared on.
+func recvTypeName(m *types.Func) *types.TypeName {
+	rt := m.Type().(*types.Signature).Recv().Type()
+	if p, ok := rt.(*types.Pointer); ok {
+		rt = p.Elem()
+	}
+	return rt.(*types.Named).Origin().Obj()
 }
 
 // reachKey names fn as pkg.Func or pkg.Type.Method.

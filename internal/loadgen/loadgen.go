@@ -26,9 +26,9 @@ type Hooks struct {
 
 // Stats are the engine's monotonic counters, readable while running.
 type Stats struct {
-	// ReportsSent counts mobility reports (batch entries included).
+	// ReportsSent counts mobility reports sent as batch entries.
 	ReportsSent uint64
-	// FramesSent counts wire messages carrying them (batches count 1).
+	// FramesSent counts the report-batch frames carrying them.
 	FramesSent uint64
 	// Triggers counts macro-away reports sent.
 	Triggers uint64
@@ -168,15 +168,13 @@ func (e *Engine) worker(work chan int, wg *sync.WaitGroup, hooks Hooks) {
 	}
 }
 
-// runAP replays AP i's schedule in time order: reports flow as v1
-// messages or v2 delta batches; after each trigger the pending batch is
-// flushed and the sender waits for the round's roam directive, which
-// serializes a client's rounds and keeps the decision log
-// schedule-determined.
+// runAP replays AP i's schedule in time order as delta batches of up to
+// BatchSize entries; after each trigger the pending batch is flushed and
+// the sender waits for the round's roam directive, which serializes a
+// client's rounds and keeps the decision log schedule-determined.
 func (e *Engine) runAP(i int, hooks Hooks) {
 	conn := e.conns[i]
 	sched := GenerateAP(e.cfg, i)
-	batching := e.cfg.BatchSize > 1
 	enc := ctlproto.BatchEncoder{APID: conn.ID, SnapshotEvery: e.cfg.SnapshotEvery}
 	var batch ctlproto.ReportBatch
 
@@ -196,34 +194,21 @@ func (e *Engine) runAP(i int, hooks Hooks) {
 		if hooks.Pace != nil {
 			hooks.Pace(r.Rep.Time)
 		}
-		if batching {
-			if err := enc.Add(&r.Rep); err != nil {
-				e.errors.Add(1)
-				continue
-			}
-			e.reportsSent.Add(1)
-			if enc.Len() >= e.cfg.BatchSize {
-				flush()
-			}
-		} else {
-			if err := conn.ReportMobility(r.Rep); err != nil {
-				e.errors.Add(1)
-				continue
-			}
-			e.reportsSent.Add(1)
-			e.framesSent.Add(1)
+		if err := enc.Add(&r.Rep); err != nil {
+			e.errors.Add(1)
+			continue
+		}
+		e.reportsSent.Add(1)
+		if enc.Len() >= e.cfg.BatchSize {
+			flush()
 		}
 		if r.Trigger {
 			e.triggers.Add(1)
-			if batching {
-				flush()
-			}
+			flush()
 			e.awaitDirective(i, hooks)
 		}
 	}
-	if batching {
-		flush()
-	}
+	flush()
 }
 
 // awaitDirective blocks until the AP's pending round resolves.

@@ -91,6 +91,7 @@ func TestValidateRejections(t *testing.T) {
 		{"zero APs", func(c *Config) { c.APs = 0 }},
 		{"negative clients", func(c *Config) { c.ClientsPerAP = -1 }},
 		{"zero reports", func(c *Config) { c.ReportsPerClient = 0 }},
+		{"zero batch", func(c *Config) { c.BatchSize = 0 }},
 		{"oversized batch", func(c *Config) { c.BatchSize = ctlproto.MaxBatchEntries + 1 }},
 		{"negative roam-every", func(c *Config) { c.RoamEvery = -1 }},
 		{"trigger spacing vs throttle", func(c *Config) { c.MinInterval = 10 }},
@@ -279,8 +280,8 @@ func TestEngineEndToEnd(t *testing.T) {
 		name  string
 		batch int
 	}{
-		{"v2 batches", 8},
-		{"v1 per-report", 0},
+		{"8-entry batches", 8},
+		{"one-entry batches", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := cfg
@@ -304,8 +305,8 @@ func TestEngineEndToEnd(t *testing.T) {
 			if tc.batch > 1 && stats.FramesSent >= stats.ReportsSent {
 				t.Fatalf("batching off: %d frames for %d reports", stats.FramesSent, stats.ReportsSent)
 			}
-			if tc.batch == 0 && stats.FramesSent != stats.ReportsSent {
-				t.Fatalf("v1 mode framed %d for %d reports", stats.FramesSent, stats.ReportsSent)
+			if tc.batch == 1 && stats.FramesSent != stats.ReportsSent {
+				t.Fatalf("one-entry batches framed %d for %d reports", stats.FramesSent, stats.ReportsSent)
 			}
 		})
 	}

@@ -46,17 +46,18 @@ type Config struct {
 	// MinInterval mirrors the controller's roam throttle; Validate
 	// rejects schedules whose triggers could collide with it.
 	MinInterval float64
-	// BatchSize enables v2 delta batches of up to this many entries per
-	// frame; 0 or 1 sends plain v1 per-report messages.
+	// BatchSize is the most entries a report-batch frame carries, in
+	// [1, ctlproto.MaxBatchEntries]; 1 sends each report in a frame of
+	// its own.
 	BatchSize int
 	// SnapshotEvery is the encoder's per-client snapshot interval
-	// (0 = ctlproto.DefaultSnapshotEvery); only used when batching.
+	// (0 = ctlproto.DefaultSnapshotEvery).
 	SnapshotEvery int
 }
 
 // Defaults returns a small, self-consistent workload: bursty telemetry
 // (4 reports per 1 s burst window), a trigger every 12th report, and
-// v2 batches of 64 entries.
+// batches of 64 entries.
 func Defaults() Config {
 	return Config{
 		Seed:             1,
@@ -71,7 +72,7 @@ func Defaults() Config {
 }
 
 // triggerRSSI is the serving RSSI carried by macro-away reports; answer
-// RSSIs (see MeasureAnswer) sit well inside the controller's SimilarDB
+// RSSIs (see MeasureAnswer) sit well inside the controller's 3 dB
 // admission band above it, so every completed round roams — which lets
 // a serving AP wait for the directive that closes its round.
 const triggerRSSI = -70
@@ -88,8 +89,8 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("loadgen: APs, ClientsPerAP and ReportsPerClient must be positive (got %d, %d, %d)",
 			cfg.APs, cfg.ClientsPerAP, cfg.ReportsPerClient)
 	}
-	if cfg.BatchSize > ctlproto.MaxBatchEntries {
-		return fmt.Errorf("loadgen: BatchSize %d exceeds wire limit %d", cfg.BatchSize, ctlproto.MaxBatchEntries)
+	if cfg.BatchSize < 1 || cfg.BatchSize > ctlproto.MaxBatchEntries {
+		return fmt.Errorf("loadgen: BatchSize %d outside [1, %d]", cfg.BatchSize, ctlproto.MaxBatchEntries)
 	}
 	if cfg.RoamEvery < 0 {
 		return fmt.Errorf("loadgen: RoamEvery must be >= 0, got %d", cfg.RoamEvery)
@@ -230,8 +231,8 @@ func (st *clientStream) advance(cfg *Config) bool {
 			APID:   st.apID,
 			Client: st.client,
 			State:  state,
-			// Snap to the wire quantization grid so v1 and v2
-			// encodings carry identical values.
+			// Snap to the wire quantization grid, so the delta
+			// encoding carries the values exactly.
 			Time:    ctlproto.UnquantTime(ctlproto.QuantTime(t)),
 			RSSIdBm: ctlproto.UnquantRSSI(ctlproto.QuantRSSI(rssi)),
 		},

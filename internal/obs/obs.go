@@ -40,7 +40,7 @@
 // Metric names are dotted lowercase paths "<subsystem>.<metric>" with
 // an optional ".<variant>" (e.g. a mobility state) and a unit suffix
 // where the value has one: "core.similarity",
-// "ctlproto.rx.mobility-report", "mac.airtime_s",
+// "ctlproto.rx.report-batch", "mac.airtime_s",
 // "roaming.handoffs". Allowed characters: [a-z0-9._-]; the registry
 // panics on anything else at creation time. Trace events carry a
 // category (the emitting package) and a kebab-case event name

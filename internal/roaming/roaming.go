@@ -188,24 +188,28 @@ func (s *SensorHint) Decide(obs Observation) Action {
 	return Stay
 }
 
+// The paper's §3.1 thresholds for MobilityAware: a candidate within
+// similarDB of the current AP's RSSI is admitted (it keeps improving as
+// the client approaches), and forced roams are at least minRoamInterval
+// seconds apart. ctlproto.Coordinator applies the same 3 dB band on the
+// real control plane.
+const (
+	similarDB       = 3
+	minRoamInterval = 3
+)
+
 // MobilityAware is the paper's controller-based protocol (§3.1): roam only
 // when the classifier reports macro-mobility away from the current AP and
 // the infrastructure sees at least one candidate AP with similar-or-better
 // signal that the client is approaching. No client scanning is needed; the
 // forced reassociation still costs the handoff time.
 type MobilityAware struct {
-	// SimilarDB allows candidates within this much of the current AP's
-	// RSSI (the candidate will keep improving as the client approaches).
-	SimilarDB float64
-	// MinInterval throttles consecutive forced roams.
-	MinInterval float64
-
 	lastRoam float64
 }
 
 // NewMobilityAware returns the controller policy.
 func NewMobilityAware() *MobilityAware {
-	return &MobilityAware{SimilarDB: 3, MinInterval: 3, lastRoam: -1e9}
+	return &MobilityAware{lastRoam: -1e9}
 }
 
 // Name implements Policy.
@@ -213,7 +217,7 @@ func (m *MobilityAware) Name() string { return "motion-aware" }
 
 // Decide implements Policy.
 func (m *MobilityAware) Decide(obs Observation) Action {
-	if obs.State != core.StateMacroAway || obs.T-m.lastRoam < m.MinInterval {
+	if obs.State != core.StateMacroAway || obs.T-m.lastRoam < minRoamInterval {
 		return Stay
 	}
 	best, bestRSSI := -1, -1e9
@@ -221,7 +225,7 @@ func (m *MobilityAware) Decide(obs Observation) Action {
 		if i == obs.Cur || !obs.Approaching[i] {
 			continue
 		}
-		if rssi >= obs.InfraRSSI[obs.Cur]-m.SimilarDB && rssi > bestRSSI {
+		if rssi >= obs.InfraRSSI[obs.Cur]-similarDB && rssi > bestRSSI {
 			best, bestRSSI = i, rssi
 		}
 	}
